@@ -10,7 +10,6 @@ Identical scenarios produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import json
 import sys
@@ -41,6 +40,7 @@ from .rabi import (
     rabi_amplitude,
     solve_suppression_B,
     solve_suppression_spin_valve,
+    suppression_surface_error,
 )
 
 KINDS = (
@@ -303,11 +303,9 @@ def _rabi_point(p: RabiParameters, tol: float) -> dict:
         "cond_residual": ph_condition_residual(p),
         "regime": classify_regime(p, tol),
     }
-    scale = max(1.0, p.b**2, p.delta**2, (p.alpha * p.omega) ** 2)
-    if abs(record["cond_residual"]) <= tol * scale and p.delta * p.omega <= tol * scale:
-        record["omega_sq"] = -p.delta * p.omega
-    else:
-        record["omega_sq"] = None
+    # test before constructing: a raise per off-surface point leaves frame cycles behind
+    on_surface = suppression_surface_error(p, tol) is None
+    record["omega_sq"] = PseudoHermitianRabi(p, tolerance=tol).omega_sq if on_surface else None
     try:
         record["suppression_b"] = solve_suppression_B(p.b_z, p.omega, p.alpha)
     except PseudospinError:
@@ -384,12 +382,16 @@ def _run_grassmann(scenario, out_dir, tol, step):
     return suite
 
 
-def _grid_axis(axis) -> list:
-    if isinstance(axis, (list, tuple)):
-        return [float(v) for v in axis]
-    if isinstance(axis, dict):
-        return list(np.linspace(float(axis["start"]), float(axis["stop"]), int(axis["num"])))
-    return [float(axis)]
+def _grid_axis(axis, name: str) -> list:
+    try:
+        if isinstance(axis, dict):
+            start, stop, num = float(axis["start"]), float(axis["stop"]), int(axis["num"])
+            if num < 1:
+                raise ValidationError(f"grid.{name}: num must be positive")
+            return list(np.linspace(start, stop, num))
+        return [float(v) for v in (axis if isinstance(axis, (list, tuple)) else [axis])]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"grid.{name}: malformed axis {axis!r}") from exc
 
 
 def _run_sweep(scenario, out_dir, tol, step):
@@ -399,7 +401,7 @@ def _run_sweep(scenario, out_dir, tol, step):
     axes = {}
     for name in ("b", "b_z", "omega", "alpha", "a"):
         if name in grid:
-            axes[name] = _grid_axis(grid[name])
+            axes[name] = _grid_axis(grid[name], name)
         elif name in scenario:
             axes[name] = [float(scenario[name])]
         elif name == "a":
@@ -412,8 +414,7 @@ def _run_sweep(scenario, out_dir, tol, step):
             axes["b"], axes["b_z"], axes["omega"], axes["alpha"], axes["a"]
         )
     ]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        records = list(pool.map(lambda p: _rabi_point(p, tol), points))
+    records = [_rabi_point(p, tol) for p in points]
     with open(out_dir / "sweep.jsonl", "w", newline="") as fh:
         for record in records:
             fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")

@@ -20,6 +20,7 @@ from .exceptions import (
     ImaginaryFrequencyError,
     NoRealSolutionError,
     NotRotatableError,
+    PseudospinError,
     ValidationError,
 )
 from .linalg import SIGMA3, as_operator, hamiltonian_from_field
@@ -164,23 +165,30 @@ def ph_condition_residual_spin_valve(p: RabiParameters) -> float:
     return float((f * f + delta_c * delta_c).imag)
 
 
+def suppression_surface_error(p: RabiParameters, tol: float = 1e-10) -> PseudospinError | None:
+    """None when p is on the suppression surface, else the error saying why not: ValidationError
+    for |residual| > tol * scale, ImaginaryFrequencyError for delta * omega > tol * scale."""
+    scale = max(1.0, p.b**2, p.delta**2, p.omega**2, (p.alpha * p.omega) ** 2)
+    if abs(ph_condition_residual(p)) > tol * scale:
+        return ValidationError("parameters do not satisfy the suppression condition")
+    if p.delta * p.omega > tol * scale:
+        return ImaginaryFrequencyError(
+            "detuning on the wrong side of resonance: eigenvalues are imaginary"
+        )
+    return None
+
+
 def classify_regime(p: RabiParameters, tol: float = 1e-10) -> str:
-    """Parameter regime: hermitian, critical (zero detuning), pseudo-Hermitian
-    (suppression condition met, real frequencies) or non-pseudo-Hermitian."""
+    """Parameter regime: hermitian (alpha = 0), critical (zero detuning, whatever the
+    residual), pseudo-Hermitian (on the suppression surface, i.e. exactly when
+    PseudoHermitianRabi accepts p) or non-pseudo-Hermitian."""
     if p.alpha == 0.0:
         return REGIME_HERMITIAN
-    scale = max(1.0, p.b**2, p.delta**2, p.omega**2)
     if abs(p.delta) <= tol * max(1.0, abs(p.omega), abs(p.b_z)):
         return REGIME_CRITICAL
-    if abs(ph_condition_residual(p)) <= tol * scale and p.delta * p.omega < 0.0:
+    if suppression_surface_error(p, tol) is None:
         return REGIME_PSEUDO_HERMITIAN
     return REGIME_NON_PSEUDO_HERMITIAN
-
-
-def _suppression_square(b_z: float, omega: float, alpha: float, a: float) -> float:
-    # shared expression so the a = 0 case reduces bitwise to the plain one
-    base = b_z * (omega * (1.0 + alpha**2) - b_z)
-    return base + (a / alpha) * (alpha * a - b_z * (1.0 - alpha**2) + omega * (1.0 + alpha**2))
 
 
 def solve_suppression_B(b_z: float, omega: float, alpha: float) -> float:
@@ -188,23 +196,19 @@ def solve_suppression_B(b_z: float, omega: float, alpha: float) -> float:
 
     Only the above-resonance side (delta * omega <= 0) admits suppression;
     a drive below the resonance frequency raises NoRealSolutionError, as
-    does a nonpositive radicand.
+    does a nonpositive radicand.  This is the spin-valve solver at a = 0.
     """
-    if b_z == 0.0 or alpha == 0.0:
+    if b_z == 0.0:
         raise ValidationError("suppression condition needs b_z != 0 and alpha != 0")
-    radicand = _suppression_square(b_z, omega, alpha, 0.0)
-    if radicand <= 0.0:
-        raise NoRealSolutionError(f"radicand {radicand:.6g} is not positive")
-    if (b_z - omega) * omega > 0.0:
-        raise NoRealSolutionError("cannot suppress damping below the resonance frequency")
-    return float(np.sqrt(radicand))
+    return solve_suppression_spin_valve(b_z, omega, alpha, 0.0)
 
 
 def solve_suppression_spin_valve(b_z: float, omega: float, alpha: float, a: float) -> float:
     """Suppression amplitude for the spin-valve (torque-shifted) condition."""
     if alpha == 0.0:
         raise ValidationError("suppression condition needs alpha != 0")
-    sq = _suppression_square(b_z, omega, alpha, a)
+    base = b_z * (omega * (1.0 + alpha**2) - b_z)
+    sq = base + (a / alpha) * (alpha * a - b_z * (1.0 - alpha**2) + omega * (1.0 + alpha**2))
     if sq <= 0.0:
         raise NoRealSolutionError(f"squared amplitude {sq:.6g} is not positive")
     if a == 0.0 and (b_z - omega) * omega > 0.0:
@@ -218,21 +222,17 @@ class PseudoHermitianRabi:
 
     The dressed rotating-frame field then has components (f, 0, d) with a
     real square-sum -delta * omega, real eigenvalue pair and a unique
-    canonical-limit metric.
+    canonical-limit metric.  Construction raises suppression_surface_error's
+    error; omega_sq is clamped at 0 within tolerance of the imaginary side.
     """
 
     params: RabiParameters
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        p = self.params
-        scale = max(1.0, p.b**2, p.delta**2, (p.alpha * p.omega) ** 2)
-        if abs(ph_condition_residual(p)) > self.tolerance * scale:
-            raise ValidationError("parameters do not satisfy the suppression condition")
-        if p.delta * p.omega > self.tolerance * scale:
-            raise ImaginaryFrequencyError(
-                "detuning on the wrong side of resonance: eigenvalues are imaginary"
-            )
+        error = suppression_surface_error(self.params, self.tolerance)
+        if error is not None:
+            raise error
 
     @property
     def transverse(self) -> complex:
@@ -277,8 +277,6 @@ def ph_rabi_amplitude(pr: PseudoHermitianRabi, t: float) -> complex:
     amplitude is identically zero.
     """
     p = pr.params
-    if p.delta * p.omega > 0.0:
-        raise ImaginaryFrequencyError("oscillation frequency is imaginary")
     omega_r = p.rabi_freq
     if omega_r == 0.0:
         return 0.0 + 0.0j

@@ -156,6 +156,29 @@ def test_rabi_suppressed_point(tmp_path):
     assert im == pytest.approx(-np.sqrt(0.6) * np.sin(t / np.sqrt(2)))
 
 
+def test_rabi_point_within_tolerance_of_imaginary_side(tmp_path):
+    # on the surface with 0 < delta * omega <= tol * scale: zero frequency, not an error
+    b_z, omega, alpha = 1.0 + 2e-10, 1.0, 1.5
+    d = b_z - omega
+    b = float(np.sqrt((alpha * omega) ** 2 - d**2 - d * omega * (1.0 - alpha**2)))
+    scen = write_scenario(
+        tmp_path,
+        {"kind": "rabi", "b": b, "b_z": b_z, "omega": omega, "alpha": alpha,
+         "time": {"start": 0.0, "stop": 5.0, "num": 6}},
+    )
+    out = tmp_path / "out"
+    assert run_cli("rabi", scen, out) == 0
+    assert not (out / "error.json").exists()
+    report = json.loads((out / "rabi.json").read_text())
+    assert report["regime"] == "pseudo_hermitian"
+    assert report["omega_sq"] == 0.0
+    assert report["amplitude_form"] == "suppressed_damping"
+    rows = [[float(v) for v in line.split(",")]
+            for line in (out / "amplitude.csv").read_text().splitlines()[1:]]
+    assert len(rows) == report["amplitude_samples"] == 6
+    assert all(re == 0.0 and im == 0.0 for _, re, im in rows)
+
+
 def test_suppress_reference_point(tmp_path):
     scen = write_scenario(tmp_path, {"kind": "suppress", "b_z": 1.0, "omega": 2.0, "alpha": 0.5})
     out = tmp_path / "out"
@@ -217,6 +240,31 @@ def test_sweep_classification(tmp_path):
     assert reference["omega_sq"] == pytest.approx(2.0)
     assert all(r["regime"] == "hermitian" for r in records if r["alpha"] == 0.0)
     assert all(r["regime"] == "critical" for r in records if r["alpha"] != 0 and r["b_z"] == 2.0)
+
+
+@pytest.mark.parametrize(
+    "axis",
+    [
+        {"start": 0.5, "stop": 1.5, "num": 0},
+        {"start": 0.5, "stop": 1.5, "num": -3},
+        {"stop": 1.5, "num": 4},
+        {"start": 0.5, "num": 4},
+        {"start": 0.5, "stop": 1.5},
+        {"start": "x", "stop": 1.5, "num": 4},
+        {"start": 0.5, "stop": 1.5, "num": "four"},
+        [1.0, "b"],
+        "b",
+        None,
+    ],
+)
+def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
+    scen = write_scenario(
+        tmp_path, {"kind": "sweep", "grid": {"b": axis}, "b_z": 1.0, "omega": 2.0, "alpha": 0.5}
+    )
+    out = tmp_path / "out"
+    assert run_cli("sweep", scen, out) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+    assert not (out / "sweep.jsonl").exists()
 
 
 def test_kind_mismatch_is_validation_error(tmp_path):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospin import field_square, hamiltonian_from_field, inner
+from pseudospin.cli import _rabi_point
 from pseudospin.dynamics import evolve_state
 from pseudospin.exceptions import (
     ImaginaryFrequencyError,
@@ -33,6 +36,9 @@ from pseudospin.rabi import (
 RNG = np.random.default_rng(11)
 
 SUPPRESSED = RabiParameters(b=np.sqrt(1.5), b_z=1.0, omega=2.0, alpha=0.5)
+
+# relative offsets of the solved amplitude: on, inside and outside the tolerance band
+BAND_OFFSETS = [0.0] + [s * m for m in (1e-11, 3e-11, 1e-10, 3e-10, 1e-9) for s in (-1.0, 1.0)]
 
 
 # ------------------------------------------------------------------- fields
@@ -362,3 +368,60 @@ def test_nonrotating_hamiltonians_undamped_limit_is_lab_drive():
         lab = hamiltonian_from_field(lab_frame_field(pr.params, t))
         assert np.allclose(h_real(t), lab, atol=1e-13)
         assert np.allclose(h_dressed(t), lab, atol=1e-13)
+
+
+# ------------------------------------------------------ suppression surface
+
+
+def _surface_verdicts(p: RabiParameters) -> tuple:
+    """(regime says suppressed, CLI omega_sq non-null, PseudoHermitianRabi constructs)."""
+    try:
+        PseudoHermitianRabi(p)
+        constructs = True
+    except (ValidationError, ImaginaryFrequencyError):
+        constructs = False
+    return (
+        classify_regime(p) == "pseudo_hermitian",
+        _rabi_point(p, 1e-10)["omega_sq"] is not None,
+        constructs,
+    )
+
+
+def _near_surface_points(seed: int, drives: int) -> list:
+    """Solved amplitudes at random drives (alpha up to 9), scaled by BAND_OFFSETS."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < drives * len(BAND_OFFSETS):
+        b_z, omega = rng.uniform(0.05, 3.0, size=2)
+        alpha = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 9.0)
+        try:
+            b = solve_suppression_B(b_z, omega, alpha)
+        except NoRealSolutionError:
+            continue
+        points += [RabiParameters(b * (1.0 + e), b_z, omega, alpha) for e in BAND_OFFSETS]
+    return points
+
+
+def test_surface_deciders_agree_on_seeded_band():
+    points = _near_surface_points(seed=2, drives=300)
+    verdicts = [_surface_verdicts(p) for p in points]
+    disagreements = [p for p, v in zip(points, verdicts) if len(set(v)) != 1]
+    assert disagreements == []
+    # the band is populated on both sides of the decision
+    assert 0 < sum(v[0] for v in verdicts) < len(points)
+    assert any(abs(p.alpha) > 1.0 for p in points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    omega=st.floats(0.05, 3.0),
+    ratio=st.floats(0.02, 0.98),  # b_z / omega: solvable side, off the critical point
+    alpha=st.floats(0.05, 9.0),
+    exponent=st.floats(-11.5, -8.5),
+    sign=st.sampled_from([-1.0, 0.0, 1.0]),
+)
+def test_surface_deciders_agree_property(omega, ratio, alpha, exponent, sign):
+    b_z = ratio * omega
+    b = solve_suppression_B(b_z, omega, alpha)
+    p = RabiParameters(b * (1.0 + sign * 10.0**exponent), b_z, omega, alpha)
+    assert len(set(_surface_verdicts(p))) == 1
