@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,33 +59,44 @@ KINDS = (
 # ----------------------------------------------------------- scenario parsing
 
 
+def _parse_real(value, where: str) -> float:
+    """Every real number a scenario holds is read here: finite, or a ValidationError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}: expected a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise ValidationError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
 def _parse_complex(value, where: str) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
+        return complex(_parse_real(value, where))
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_parse_real(value[0], where), _parse_real(value[1], where))
     raise ValidationError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
-def _parse_cvector(value, where: str, size: int) -> np.ndarray:
+def _parse_vector(value, where: str, size: int, parse=_parse_complex) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != size:
         raise ValidationError(f"{where}: expected {size} components")
-    return np.array([_parse_complex(v, where) for v in value], dtype=complex)
+    return np.array([parse(v, where) for v in value])
 
 
 def _parse_time_grid(window, step_override=None) -> np.ndarray:
     if not isinstance(window, dict):
         raise ValidationError("time: expected an object with start/stop and step or num")
-    start = float(window.get("start", 0.0))
-    stop = float(window["stop"])
+    start = _parse_real(window.get("start", 0.0), "time.start")
+    stop = _parse_real(window.get("stop"), "time.stop")
     if stop < start:
         raise ValidationError("time: stop must be >= start")
     if step_override is not None:
-        step = float(step_override)
+        step = _parse_real(step_override, "step")
     elif "step" in window:
-        step = float(window["step"])
+        step = _parse_real(window["step"], "time.step")
     elif "num" in window:
-        num = int(window["num"])
+        num = int(_parse_real(window["num"], "time.num"))
         if num < 1:
             raise ValidationError("time: num must be positive")
         return np.linspace(start, stop, num)
@@ -124,6 +136,12 @@ def _write_json(path: Path, payload: dict) -> None:
 # --------------------------------------------------------------- trajectories
 
 
+def _write_columns(path, header: str, columns) -> None:
+    table = np.column_stack(columns)
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
+
+
 def emit_trajectory(traj: Trajectory, path) -> None:
     """Write a trajectory as CSV with 17 significant digits and LF endings.
 
@@ -137,15 +155,9 @@ def emit_trajectory(traj: Trajectory, path) -> None:
         raise ValidationError("trajectory has no norm record")
     if eta is None:
         eta = canonical
-    states = np.asarray(traj.states, dtype=complex)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,n1_re,n1_im,n2_re,n2_im,n3_re,n3_im,norm_canonical,norm_eta\n")
-        for k, t in enumerate(traj.times):
-            row = [t]
-            for j in range(3):
-                row.extend([states[k, j].real, states[k, j].imag])
-            row.extend([canonical[k], eta[k]])
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    n_re_im = np.ascontiguousarray(traj.states, dtype=complex).reshape(len(traj), 3).view(float)
+    header = "t,n1_re,n1_im,n2_re,n2_im,n3_re,n3_im,norm_canonical,norm_eta"
+    _write_columns(path, header, [traj.times, n_re_im, canonical, eta])
 
 
 def read_trajectory(path):
@@ -166,12 +178,12 @@ def read_trajectory(path):
 
 
 def _metric_inputs(scenario: dict, tol: float):
-    field = _parse_cvector(_require(scenario, "field"), "field", 3)
+    field = _parse_vector(_require(scenario, "field"), "field", 3)
     if "b_field" in scenario:
-        real_field = _parse_cvector(scenario["b_field"], "b_field", 3)
+        real_field = _parse_vector(scenario["b_field"], "b_field", 3)
         return field, real_field
     if "alpha" in scenario:
-        alpha = float(scenario["alpha"])
+        alpha = _parse_real(scenario["alpha"], "alpha")
         if alpha == 0.0:
             raise ValidationError("alpha must be nonzero for the limit family")
 
@@ -188,7 +200,7 @@ def _metric_inputs(scenario: dict, tol: float):
 
 
 def _run_check(scenario, out_dir, tol, step):
-    field = _parse_cvector(_require(scenario, "field"), "field", 3)
+    field = _parse_vector(_require(scenario, "field"), "field", 3)
     h = hamiltonian_from_field(field)
     e_plus, e_minus = spectrum(h)
     payload = {
@@ -227,8 +239,8 @@ def _run_metric(scenario, out_dir, tol, step):
 
 
 def _run_evolve(scenario, out_dir, tol, step):
-    field = _parse_cvector(_require(scenario, "field"), "field", 3)
-    psi0 = _parse_cvector(_require(scenario, "state"), "state", 2)
+    field = _parse_vector(_require(scenario, "field"), "field", 3)
+    psi0 = _parse_vector(_require(scenario, "state"), "state", 2)
     grid = _parse_time_grid(_require(scenario, "time"), step)
     metric_tag = scenario.get("metric", "canonical")
     h = hamiltonian_from_field(field)
@@ -260,22 +272,22 @@ def _run_evolve(scenario, out_dir, tol, step):
 
 def _run_bloch(scenario, out_dir, tol, step):
     model = scenario.get("model", "damped")
-    n0 = np.array([float(v) for v in _require(scenario, "n0")])
+    n0 = _parse_vector(_require(scenario, "n0"), "n0", 3, _parse_real)
     grid = _parse_time_grid(_require(scenario, "time"), step)
     renormalize = bool(scenario.get("renormalize", False))
     if model in ("damped", "precession"):
-        field = _parse_cvector(_require(scenario, "field"), "field", 3)
+        field = _parse_vector(_require(scenario, "field"), "field", 3)
         rhs = lambda t, n: rhs_damped_precession(n, field)
     elif model == "llg":
-        field = _parse_cvector(_require(scenario, "field"), "field", 3).real
-        alpha = float(_require(scenario, "alpha"))
+        field = _parse_vector(_require(scenario, "field"), "field", 3).real
+        alpha = _parse_real(_require(scenario, "alpha"), "alpha")
         rhs = lambda t, n: rhs_llg(n, field, alpha)
     elif model == "llg_spin_valve":
-        field = _parse_cvector(_require(scenario, "field"), "field", 3).real
-        alpha = float(_require(scenario, "alpha"))
-        torque = float(_require(scenario, "a"))
-        polarization = np.array([float(v) for v in _require(scenario, "polarization")])
-        rhs = lambda t, n: rhs_llg_spin_torque(n, field, alpha, torque, polarization)
+        field = _parse_vector(_require(scenario, "field"), "field", 3).real
+        alpha = _parse_real(_require(scenario, "alpha"), "alpha")
+        torque = _parse_real(_require(scenario, "a"), "a")
+        pol = _parse_vector(_require(scenario, "polarization"), "polarization", 3, _parse_real)
+        rhs = lambda t, n: rhs_llg_spin_torque(n, field, alpha, torque, pol)
     else:
         raise ValidationError(f"unknown bloch model {model!r}")
     traj = integrate(rhs, n0, grid, renormalize=renormalize)
@@ -317,11 +329,11 @@ def _rabi_point(p: RabiParameters, tol: float) -> dict:
 
 def _run_rabi(scenario, out_dir, tol, step):
     p = RabiParameters(
-        b=float(_require(scenario, "b")),
-        b_z=float(_require(scenario, "b_z")),
-        omega=float(_require(scenario, "omega")),
-        alpha=float(scenario.get("alpha", 0.0)),
-        a=float(scenario.get("a", 0.0)),
+        b=_parse_real(_require(scenario, "b"), "b"),
+        b_z=_parse_real(_require(scenario, "b_z"), "b_z"),
+        omega=_parse_real(_require(scenario, "omega"), "omega"),
+        alpha=_parse_real(scenario.get("alpha", 0.0), "alpha"),
+        a=_parse_real(scenario.get("a", 0.0), "a"),
     )
     payload = _rabi_point(p, tol)
     amplitude = None
@@ -336,21 +348,18 @@ def _run_rabi(scenario, out_dir, tol, step):
         payload["amplitude_form"] = None
     if amplitude is not None and "time" in scenario:
         grid = _parse_time_grid(scenario["time"], step)
-        with open(out_dir / "amplitude.csv", "w", newline="") as fh:
-            fh.write("t,amp_re,amp_im\n")
-            for t in grid:
-                z = amplitude(t)
-                fh.write(f"{t:.17g},{z.real:.17g},{z.imag:.17g}\n")
+        z = amplitude(grid)
+        _write_columns(out_dir / "amplitude.csv", "t,amp_re,amp_im", [grid, z.real, z.imag])
         payload["amplitude_samples"] = len(grid)
     _write_json(out_dir / "rabi.json", payload)
     return payload
 
 
 def _run_suppress(scenario, out_dir, tol, step):
-    b_z = float(_require(scenario, "b_z"))
-    omega = float(_require(scenario, "omega"))
-    alpha = float(_require(scenario, "alpha"))
-    torque = float(scenario.get("a", 0.0))
+    b_z = _parse_real(_require(scenario, "b_z"), "b_z")
+    omega = _parse_real(_require(scenario, "omega"), "omega")
+    alpha = _parse_real(_require(scenario, "alpha"), "alpha")
+    torque = _parse_real(scenario.get("a", 0.0), "a")
     if torque == 0.0:
         b = solve_suppression_B(b_z, omega, alpha)
         residual = ph_condition_residual(RabiParameters(b, b_z, omega, alpha))
@@ -371,7 +380,7 @@ def _run_suppress(scenario, out_dir, tol, step):
 
 
 def _run_grassmann(scenario, out_dir, tol, step):
-    field = [float(v) for v in scenario.get("b_field", [0.7, -1.1, 0.4])]
+    field = _parse_vector(scenario.get("b_field", [0.7, -1.1, 0.4]), "b_field", 3, _parse_real)
     suite = correspondence_suite(field, tol=max(tol, 1e-13))
     required = suite["generator_pairs"] + suite["hamiltonian_pairs"]
     suite["required_pairs_exact"] = all(entry["exact"] for entry in required)
@@ -383,15 +392,15 @@ def _run_grassmann(scenario, out_dir, tol, step):
 
 
 def _grid_axis(axis, name: str) -> list:
-    try:
-        if isinstance(axis, dict):
-            start, stop, num = float(axis["start"]), float(axis["stop"]), int(axis["num"])
-            if num < 1:
-                raise ValidationError(f"grid.{name}: num must be positive")
-            return list(np.linspace(start, stop, num))
-        return [float(v) for v in (axis if isinstance(axis, (list, tuple)) else [axis])]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"grid.{name}: malformed axis {axis!r}") from exc
+    where = f"grid.{name}"
+    if isinstance(axis, dict):
+        start, stop, num = (
+            _parse_real(axis.get(key), f"{where}.{key}") for key in ("start", "stop", "num")
+        )
+        if num < 1:
+            raise ValidationError(f"{where}: num must be positive")
+        return list(np.linspace(start, stop, int(num)))
+    return [_parse_real(v, where) for v in (axis if isinstance(axis, (list, tuple)) else [axis])]
 
 
 def _run_sweep(scenario, out_dir, tol, step):
@@ -403,7 +412,7 @@ def _run_sweep(scenario, out_dir, tol, step):
         if name in grid:
             axes[name] = _grid_axis(grid[name], name)
         elif name in scenario:
-            axes[name] = [float(scenario[name])]
+            axes[name] = [_parse_real(scenario[name], name)]
         elif name == "a":
             axes[name] = [0.0]
         else:

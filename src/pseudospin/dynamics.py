@@ -27,36 +27,37 @@ from .linalg import (
 )
 
 
-def evolve_state(op, psi0, t: float) -> np.ndarray:
-    """psi(t) = exp(-i H t) psi0 for time-independent H.
+def evolve_state(op, psi0, t: float | np.ndarray) -> np.ndarray:
+    """psi(t) = exp(-i H t) psi0 for time-independent H and t of any shape -> (..., 2).
 
     A trace part only contributes a global phase exp(-i tr(H) t / 2).
     """
     h = as_operator(op)
-    t0, tvec = pauli_decompose(h)
-    traceless = h - t0 * np.eye(2)
-    u = evolve_operator(traceless, t)
+    t0, _ = pauli_decompose(h)
+    u = evolve_operator(h - t0 * np.eye(2), t)
     if t0 != 0.0:
-        u = np.exp(-1j * t0 * t) * u
-    return u @ as_state(psi0)
+        u = np.exp(-1j * t0 * np.asarray(t, dtype=float))[..., None, None] * u
+    return np.matvec(u, as_state(psi0))
 
 
-def _canonical_norm_sq(psi: np.ndarray) -> float:
-    nrm2 = float(np.vdot(psi, psi).real)
-    if not np.isfinite(nrm2) or nrm2 < 1e-300:
-        raise ZeroStateError("state vector is numerically zero")
+def _norm_sq(v: np.ndarray, m=None) -> np.ndarray:
+    """<v, v>, or <v, m v> with a metric m, over the last axis of a state stack."""
+    nrm2 = np.vecdot(v, v if m is None else np.matvec(m, v)).real
+    if not np.all(np.isfinite(nrm2) & (nrm2 >= 1e-300)):
+        under = "" if m is None else " under eta"
+        raise ZeroStateError(f"state vector is numerically zero{under}")
     return nrm2
 
 
 def bloch_canonical(psi) -> np.ndarray:
-    """Normalized spin expectation n_i = <psi, sigma_i psi> / <psi, psi>."""
+    """Normalized spin expectation n_i = <psi, sigma_i psi> / <psi, psi>, per state of a stack."""
     v = as_state(psi)
-    nrm2 = _canonical_norm_sq(v)
-    return np.array([np.vdot(v, s @ v).real for s in SIGMA]) / nrm2
+    n = [np.vecdot(v, np.matvec(s, v)).real for s in SIGMA]
+    return np.stack(n, axis=-1) / _norm_sq(v)[..., None]
 
 
 def bloch_eta(psi, eta, observables: str = "bare", isometry=None) -> np.ndarray:
-    """Spin expectation under the eta inner product.
+    """Spin expectation under the eta inner product, for a state or a stack (..., 2).
 
     observables="bare" averages the Pauli matrices themselves; they are not
     eta-Hermitian, so the components may come out complex and are reported
@@ -65,23 +66,22 @@ def bloch_eta(psi, eta, observables: str = "bare", isometry=None) -> np.ndarray:
     """
     v = as_state(psi)
     m = validate_metric(eta)
-    nrm2 = float(np.vdot(v, m @ v).real)
-    if not np.isfinite(nrm2) or nrm2 < 1e-300:
-        raise ZeroStateError("state vector is numerically zero under eta")
+    nrm2 = _norm_sq(v, m)[..., None]
     if observables == "bare":
-        return np.array([complex(np.vdot(v, m @ (s @ v))) for s in SIGMA]) / nrm2
-    if observables == "dressed":
+        n = [np.vecdot(v, np.matvec(m, np.matvec(s, v))) for s in SIGMA]
+    elif observables == "dressed":
         if isometry is None:
             raise ValidationError("dressed observables require the isometry")
         iso = as_operator(isometry)
-        iso_inv = np.linalg.inv(iso)
-        out = [np.vdot(v, m @ (iso @ s @ (iso_inv @ v))).real for s in SIGMA]
-        return np.array(out) / nrm2
-    raise ValidationError(f"unknown observable set {observables!r}")
+        w = np.matvec(np.linalg.inv(iso), v)
+        n = [np.vecdot(v, np.matvec(m, np.matvec(iso @ s, w))).real for s in SIGMA]
+    else:
+        raise ValidationError(f"unknown observable set {observables!r}")
+    return np.stack(n, axis=-1) / nrm2
 
 
 def rhs_damped_precession(n, field) -> np.ndarray:
-    """n' = -n x Re(F) - n x (n x Im(F)) for a real unit vector n."""
+    """n' = -n x Re(F) - n x (n x Im(F)) for a real unit vector n (or a stack (..., 3))."""
     nv = np.asarray(n, dtype=float)
     f = as_field(field)
     return -np.cross(nv, f.real) - np.cross(nv, np.cross(nv, f.imag))
@@ -195,34 +195,21 @@ def evolve_trajectory(
     per sample; without a metric the eta column repeats the canonical one.
     """
     t = np.asarray(t_grid, dtype=float).reshape(-1)
-    if len(t) > 1 and not np.all(np.diff(t) > 0):
-        raise ValidationError("times must be strictly increasing")
-    h = as_operator(op)
-    psi = as_state(psi0).copy()
+    psi = as_state(psi0)
+    m = None if eta is None else validate_metric(eta)
+    psi = psi / np.sqrt(_norm_sq(psi, m))
+    # t[:1] rather than t[0]: an empty grid gives an empty trajectory
+    states = evolve_state(op, psi, t - t[:1])
+    norm_canonical = np.sqrt(np.vecdot(states, states).real)
     if eta is None:
-        psi = psi / np.sqrt(_canonical_norm_sq(psi))
+        norm_eta = norm_canonical
+        bloch = bloch_canonical(states)
     else:
-        m = validate_metric(eta)
-        nrm2 = float(np.vdot(psi, m @ psi).real)
-        if not np.isfinite(nrm2) or nrm2 < 1e-300:
-            raise ZeroStateError("initial state is numerically zero under eta")
-        psi = psi / np.sqrt(nrm2)
-
-    bloch = np.empty((len(t), 3), dtype=complex)
-    norm_canonical = np.empty(len(t))
-    norm_eta = np.empty(len(t))
-    for k, tk in enumerate(t):
-        state = evolve_state(h, psi, tk - t[0])
-        norm_canonical[k] = np.sqrt(float(np.vdot(state, state).real))
-        if eta is None:
-            norm_eta[k] = norm_canonical[k]
-            bloch[k] = bloch_canonical(state)
-        else:
-            norm_eta[k] = np.sqrt(float(np.vdot(state, eta @ state).real))
-            bloch[k] = bloch_eta(state, eta, observables, isometry)
+        norm_eta = np.sqrt(np.vecdot(states, np.matvec(eta, states)).real)
+        bloch = bloch_eta(states, eta, observables, isometry)
     return Trajectory(
         times=t,
-        states=bloch,
+        states=bloch.astype(complex),
         norms={"canonical": norm_canonical, "eta": norm_eta},
         metadata={
             "method": "closed_form",
@@ -258,12 +245,12 @@ def correspondence_residual(
     deriv = np.gradient(n, t, axis=0, edge_order=2 if len(t) > 2 else 1)
 
     if eta is None:
-        rhs = np.stack([rhs_damped_precession(row, f) for row in n])
+        rhs = rhs_damped_precession(n, f)
     elif observables == "bare":
-        rhs = np.stack([-np.cross(row, f) for row in n])
+        rhs = -np.cross(n, f)
     else:
         iso = as_operator(isometry)
         h_real = np.linalg.inv(iso) @ h @ iso
         _, bvec = pauli_decompose(h_real)
-        rhs = np.stack([-np.cross(row, 2.0 * bvec.real) for row in n])
+        rhs = -np.cross(n, 2.0 * bvec.real)
     return float(np.max(np.linalg.norm(deriv - rhs, axis=1)))

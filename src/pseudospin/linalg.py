@@ -35,8 +35,9 @@ def as_operator(m) -> np.ndarray:
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce to a length-2 complex vector."""
-    return np.asarray(v, dtype=complex).reshape(2)
+    """Coerce to a length-2 complex vector, or a stack (..., 2) of them."""
+    s = np.asarray(v, dtype=complex)
+    return s.reshape(s.shape[:-1] + (2,))
 
 
 def principal_sqrt(z: complex) -> complex:
@@ -110,17 +111,17 @@ def spectrum(op, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
     return e_plus, -e_plus
 
 
-def evolve_operator(op, t: float, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(-i H t) for traceless H, in closed form.
+def evolve_operator(op, t: float | np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """exp(-i H t) for traceless H, in closed form, for t of any shape -> (..., 2, 2).
 
     Uses exp(-iHt) = cos(Et/2) I - i sin(Et/2) (2H)/E with E = 2 E+.  At the
     exceptional point E = 0 the operator is nilpotent (H^2 = 0) and the
     series truncates to I - i H t exactly.
     """
     h = as_operator(op)
-    _require_traceless(h, tol)
     e_plus, _ = spectrum(h, tol)
     e = 2.0 * e_plus
+    t = np.asarray(t, dtype=float)[..., None, None]
     if e == 0.0:
         return IDENTITY2 - 1.0j * t * h
     half = 0.5 * e * t

@@ -133,13 +133,13 @@ def frame_convention_diagnostic(p: RabiParameters) -> dict:
     }
 
 
-def rabi_amplitude(p: RabiParameters, t: float) -> complex:
-    """Undamped spin-flip amplitude -i (b / Omega_R) sin(Omega_R t / 2)."""
+def rabi_amplitude(p: RabiParameters, t: float | np.ndarray) -> complex | np.ndarray:
+    """Undamped spin-flip amplitude -i (b / Omega_R) sin(Omega_R t / 2), for t of any shape."""
     if p.alpha != 0.0:
         raise ValidationError("closed form requires zero damping; see the metric variant")
     omega_r = p.rabi_freq
     if omega_r == 0.0:
-        return 0.0 + 0.0j
+        return np.zeros(np.shape(t), dtype=complex)
     return -1j * (p.b / omega_r) * np.sin(0.5 * omega_r * t)
 
 
@@ -270,8 +270,8 @@ class PseudoHermitianRabi:
         return build_isometry(self.rotating_field(), self.b_field())
 
 
-def ph_rabi_amplitude(pr: PseudoHermitianRabi, t: float) -> complex:
-    """Suppressed-damping spin-flip amplitude -i (b / Omega_R) sin(Omega t / 2).
+def ph_rabi_amplitude(pr: PseudoHermitianRabi, t: float | np.ndarray) -> complex | np.ndarray:
+    """Suppressed-damping spin-flip amplitude -i (b / Omega_R) sin(Omega t / 2), t of any shape.
 
     At the critical point (zero detuning) the frequency vanishes and the
     amplitude is identically zero.
@@ -279,7 +279,7 @@ def ph_rabi_amplitude(pr: PseudoHermitianRabi, t: float) -> complex:
     p = pr.params
     omega_r = p.rabi_freq
     if omega_r == 0.0:
-        return 0.0 + 0.0j
+        return np.zeros(np.shape(t), dtype=complex)
     return -1j * (p.b / omega_r) * np.sin(0.5 * pr.oscillation_freq * t)
 
 

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudospin
 from pseudospin.cli import emit_trajectory, main, read_trajectory
 from pseudospin.dynamics import Trajectory
 
@@ -267,6 +270,30 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
     assert not (out / "sweep.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "kind, scenario",
+    [
+        pytest.param("sweep", {"grid": {"b": [1.0]}, "b_z": 1.0, "omega": "x", "alpha": 0.5},
+                     id="sweep-omega-not-a-number"),
+        pytest.param("rabi", {"b": "a", "b_z": 1.0, "omega": 2.0}, id="rabi-b-not-a-number"),
+        pytest.param("suppress", {"b_z": 1.0, "omega": 2.0, "alpha": [1]}, id="suppress-alpha-list"),
+        pytest.param("bloch", {"n0": ["x", 0, 1], "field": [0, 0, 1],
+                               "time": {"stop": 1.0, "step": 0.1}}, id="bloch-n0-not-a-number"),
+        pytest.param("bloch", {"n0": [0, 1], "field": [0, 0, 1],
+                               "time": {"stop": 1.0, "step": 0.1}}, id="bloch-n0-length-2"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0],
+                                "time": {"start": 0.0, "step": 0.1}}, id="time-without-stop"),
+        pytest.param("check", {"field": [["x", 0], 0, 1]}, id="check-field-pair-not-a-number"),
+        pytest.param("check", {"field": [1.0, float("nan"), 0.0]}, id="check-field-nan"),
+    ],
+)
+def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
+    scen = write_scenario(tmp_path, {"kind": kind, **scenario})
+    out = tmp_path / "out"
+    assert run_cli(kind, scen, out) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
+
 def test_kind_mismatch_is_validation_error(tmp_path):
     scen = write_scenario(tmp_path, {"kind": "check", "field": [1, 0, 0]})
     assert run_cli("suppress", scen, tmp_path / "out") == 2
@@ -355,11 +382,16 @@ def test_step_override_flag(tmp_path):
 
 def test_console_entry_point(tmp_path):
     scen = write_scenario(tmp_path, {"kind": "suppress", "b_z": 1.0, "omega": 2.0, "alpha": 0.5})
+    # the child process must import the same package as this one, installed or not
+    package_root = str(Path(pseudospin.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "pseudospin.cli", "suppress", "--scenario", str(scen),
          "--out", str(tmp_path / "out")],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "suppress.json").exists()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pseudospin import IDENTITY2, hamiltonian_from_field, inner
+from pseudospin import IDENTITY2, SIGMA, hamiltonian_from_field, inner
 from pseudospin.dynamics import (
     Trajectory,
     bloch_canonical,
@@ -16,9 +18,10 @@ from pseudospin.dynamics import (
     rhs_llg_spin_torque,
 )
 from pseudospin.exceptions import StepTooLargeError, ValidationError, ZeroStateError
+from pseudospin.linalg import validate_metric
 from pseudospin.metric import build_isometry
 
-from helpers import random_state
+from helpers import plane_rotation, random_state
 
 RNG = np.random.default_rng(42)
 
@@ -339,3 +342,86 @@ def test_evolve_trajectory_norm_columns():
     assert np.max(np.abs(traj.norms["eta"] - 1.0)) < 1e-11
     assert np.max(np.abs(traj.norms["canonical"] - 1.0)) > 1e-3
     assert np.max(np.abs(np.linalg.norm(traj.states.real, axis=1) - 1.0)) < 1e-11
+
+
+READOUTS = ("canonical", "bare", "dressed")
+
+
+def _readout_case(rng, readout):
+    """Traceless H; for the eta readouts a pseudo-Hermitian one with its metric pair."""
+    if readout == "canonical":
+        return hamiltonian_from_field(rng.standard_normal(3) + 1j * rng.standard_normal(3)), {}
+    # an in-plane real field turned by a complex angle about the second axis
+    b = np.array([rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0), 0.0, rng.standard_normal()])
+    f = plane_rotation(1, rng.uniform(-np.pi, np.pi) + 0.5j * rng.uniform(-1.0, 1.0)) @ b
+    pair = build_isometry(f, b)
+    return hamiltonian_from_field(f), {"eta": pair.eta, "observables": readout,
+                                       "isometry": pair.isometry}
+
+
+def _sample_by_sample(h, psi0, t, eta=None, observables="bare", isometry=None):
+    """Reference: one evolve_state and one Bloch readout per sample, as a loop.
+
+    The readout is also spelled out with np.vdot and 2x2 products, so the
+    rows pin the arithmetic of the per-sample formulas, not only agreement
+    between a scalar and a broadcast call of the same code.
+    """
+    m = IDENTITY2 if eta is None else validate_metric(eta)
+    psi = np.asarray(psi0, dtype=complex)
+    psi = psi / np.sqrt(np.vdot(psi, m @ psi).real)
+    rows, canonical, metric = [], [], []
+    for tk in t:
+        v = evolve_state(h, psi, tk - t[0])
+        canonical.append(np.sqrt(np.vdot(v, v).real))
+        if eta is None:
+            row = np.array([np.vdot(v, s @ v).real for s in SIGMA]) / np.vdot(v, v).real
+            assert np.array_equal(bloch_canonical(v), row)
+            metric.append(canonical[-1])
+        else:
+            if observables == "bare":
+                row = np.array([np.vdot(v, m @ (s @ v)) for s in SIGMA])
+            else:
+                iso, iso_inv = isometry, np.linalg.inv(isometry)
+                row = np.array([np.vdot(v, m @ (iso @ s @ (iso_inv @ v))).real for s in SIGMA])
+            row = row / np.vdot(v, m @ v).real
+            assert np.array_equal(bloch_eta(v, eta, observables, isometry), row)
+            metric.append(np.sqrt(np.vdot(v, eta @ v).real))
+        rows.append(row)
+    return rows, canonical, metric
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    readout=st.sampled_from(READOUTS),
+    traced=st.booleans(),
+    samples=st.integers(2, 40),
+)
+def test_evolve_trajectory_rows_equal_sample_by_sample(seed, readout, traced, samples):
+    rng = np.random.default_rng(seed)
+    h, kwargs = _readout_case(rng, readout)
+    if traced:  # evolve_state strips the trace into a global phase
+        h = h + complex(*rng.standard_normal(2)) * IDENTITY2
+    psi0 = random_state(rng)
+    t = rng.uniform(-3.0, 3.0) + np.cumsum(rng.uniform(0.01, 0.5, size=samples))
+    traj = evolve_trajectory(h, psi0, t, **kwargs)
+    rows, canonical, metric = _sample_by_sample(h, psi0, t, **kwargs)
+    for k in range(samples):
+        assert np.array_equal(traj.states[k], rows[k])
+        assert traj.norms["canonical"][k] == canonical[k]
+        assert traj.norms["eta"][k] == metric[k]
+
+
+@pytest.mark.parametrize("readout", READOUTS)
+def test_evolve_trajectory_single_and_empty_grid(readout):
+    rng = np.random.default_rng(3)
+    h, kwargs = _readout_case(rng, readout)
+    psi0 = random_state(rng)
+    single = evolve_trajectory(h, psi0, [2.5], **kwargs)
+    rows, canonical, metric = _sample_by_sample(h, psi0, [2.5], **kwargs)
+    assert single.states.shape == (1, 3)
+    assert np.array_equal(single.states[0], rows[0])
+    assert single.norms["canonical"][0] == canonical[0] and single.norms["eta"][0] == metric[0]
+    empty = evolve_trajectory(h, psi0, [], **kwargs)
+    assert len(empty) == 0 and empty.states.shape == (0, 3)
+    assert empty.norms["canonical"].shape == empty.norms["eta"].shape == (0,)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospin import (
     IDENTITY2,
@@ -122,6 +124,29 @@ def test_evolve_exceptional_point_is_nilpotent_series():
     u = evolve_operator(h, 3.0)
     assert np.allclose(u, IDENTITY2 - 3j * h, atol=1e-15)
     assert np.allclose(u, taylor_expm(-3j * h), atol=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gap=st.sampled_from([0.0, 1e-300, 1e-150, 1e-12]) | st.floats(0.0, 1e-3),
+    phase=st.floats(0.0, 2.0 * np.pi),
+    rotate=st.booleans(),
+)
+def test_evolve_operator_time_array_near_exceptional_point(seed, gap, phase, rotate):
+    # F = c (1, i, 0) + (0, 0, g) has F^2 = g^2; at g = 0 without rotation
+    # H = [[0, c], [0, 0]] exactly and the nilpotent branch I - iHt runs.
+    rng = np.random.default_rng(seed)
+    c = complex(*rng.uniform(-2.0, 2.0, size=2))
+    f = np.array([c, 1j * c, gap * np.exp(1j * phase)])
+    if rotate:
+        f = random_complex_orthogonal(rng) @ f
+    h = hamiltonian_from_field(f)
+    t = np.concatenate([[0.0], rng.uniform(-5.0, 5.0, size=7)])
+    u = evolve_operator(h, t)
+    assert u.shape == (len(t), 2, 2)
+    for tk, uk in zip(t, u):
+        assert np.allclose(uk, taylor_expm(-1j * h * tk), rtol=0.0, atol=1e-10)
 
 
 def test_evolve_group_property():
