@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,18 +44,6 @@ from .rabi import (
     solve_suppression_spin_valve,
     suppression_surface_error,
 )
-
-KINDS = (
-    "check",
-    "metric",
-    "evolve",
-    "bloch",
-    "rabi",
-    "suppress",
-    "grassmann_verify",
-    "sweep",
-)
-
 
 # ----------------------------------------------------------- scenario parsing
 
@@ -104,8 +93,10 @@ def _parse_time_grid(window, step_override=None) -> np.ndarray:
         raise ValidationError("time: needs step or num")
     if step <= 0:
         raise ValidationError("time: step must be positive")
-    count = int(round((stop - start) / step))
-    return start + step * np.arange(count + 1)
+    count = (stop - start) / step
+    if not math.isfinite(count):
+        raise ValidationError("time: (stop - start) / step must be finite")
+    return start + step * np.arange(int(round(count)) + 1)
 
 
 def _require(scenario: dict, key: str):
@@ -114,23 +105,19 @@ def _require(scenario: dict, key: str):
     return scenario[key]
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _encode(obj):
+    """json.dumps default= hook; json encodes its result again, so complex entries become pairs."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
         return obj.item()
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return [z.real, z.imag]
-    return obj
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, default=_encode, sort_keys=True, indent=2) + "\n")
 
 
 # --------------------------------------------------------------- trajectories
@@ -162,14 +149,14 @@ def emit_trajectory(traj: Trajectory, path) -> None:
 
 def read_trajectory(path):
     """Parse a trajectory CSV back into (times, states, norms) arrays."""
-    rows = []
     with open(path, newline="") as fh:
         header = fh.readline().strip().split(",")
         if header[0] != "t":
             raise ValidationError(f"{path}: not a trajectory file")
-        for line in fh:
-            rows.append([float(v) for v in line.strip().split(",")])
-    data = np.array(rows)
+        with warnings.catch_warnings():
+            # a header-only file is the empty trajectory emit_trajectory writes
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, 9)
     states = data[:, 1:7:2] + 1j * data[:, 2:8:2]
     return data[:, 0], states, {"canonical": data[:, 7], "eta": data[:, 8]}
 
@@ -210,7 +197,6 @@ def _run_check(scenario, out_dir, tol, step):
         "pseudo_hermitian": bool(is_pseudo_hermitian(h, tol)),
         "eigenvalues": [e_plus, e_minus],
     }
-    _write_json(out_dir / "check.json", payload)
     return payload
 
 
@@ -234,7 +220,6 @@ def _run_metric(scenario, out_dir, tol, step):
             "eigenvalue": spectrum(h_f)[0],
         },
     }
-    _write_json(out_dir / "metric.json", payload)
     return payload
 
 
@@ -266,7 +251,6 @@ def _run_evolve(scenario, out_dir, tol, step):
         "norm_canonical_drift": float(np.max(np.abs(traj.norms["canonical"] - 1.0))),
         "norm_eta_drift": float(np.max(np.abs(traj.norms["eta"] - 1.0))),
     }
-    _write_json(out_dir / "evolve.json", payload)
     return payload
 
 
@@ -299,7 +283,6 @@ def _run_bloch(scenario, out_dir, tol, step):
         "final": traj.states[-1],
         "step": traj.metadata["step"],
     }
-    _write_json(out_dir / "bloch.json", payload)
     return payload
 
 
@@ -351,7 +334,6 @@ def _run_rabi(scenario, out_dir, tol, step):
         z = amplitude(grid)
         _write_columns(out_dir / "amplitude.csv", "t,amp_re,amp_im", [grid, z.real, z.imag])
         payload["amplitude_samples"] = len(grid)
-    _write_json(out_dir / "rabi.json", payload)
     return payload
 
 
@@ -375,7 +357,6 @@ def _run_suppress(scenario, out_dir, tol, step):
         "delta": b_z - omega,
         "a": torque,
     }
-    _write_json(out_dir / "suppress.json", payload)
     return payload
 
 
@@ -385,8 +366,9 @@ def _run_grassmann(scenario, out_dir, tol, step):
     required = suite["generator_pairs"] + suite["hamiltonian_pairs"]
     suite["required_pairs_exact"] = all(entry["exact"] for entry in required)
     suite["b_field"] = field
-    _write_json(out_dir / "grassmann.json", suite)
     if not suite["required_pairs_exact"]:
+        # run() writes no report for a raising handler; the failed suite backs the error
+        _write_json(out_dir / "grassmann.json", suite)
         raise ValidationError("generator or Hamiltonian correspondence pairs failed")
     return suite
 
@@ -423,25 +405,24 @@ def _run_sweep(scenario, out_dir, tol, step):
             axes["b"], axes["b_z"], axes["omega"], axes["alpha"], axes["a"]
         )
     ]
-    records = [_rabi_point(p, tol) for p in points]
     with open(out_dir / "sweep.jsonl", "w", newline="") as fh:
-        for record in records:
-            fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
-    summary = {"points": len(records)}
-    _write_json(out_dir / "sweep.json", summary)
-    return summary
+        for p in points:
+            fh.write(json.dumps(_rabi_point(p, tol), default=_encode, sort_keys=True) + "\n")
+    return {"points": len(points)}
 
 
+# kind -> (handler returning the report payload, report file name)
 _HANDLERS = {
-    "check": _run_check,
-    "metric": _run_metric,
-    "evolve": _run_evolve,
-    "bloch": _run_bloch,
-    "rabi": _run_rabi,
-    "suppress": _run_suppress,
-    "grassmann_verify": _run_grassmann,
-    "sweep": _run_sweep,
+    "check": (_run_check, "check.json"),
+    "metric": (_run_metric, "metric.json"),
+    "evolve": (_run_evolve, "evolve.json"),
+    "bloch": (_run_bloch, "bloch.json"),
+    "rabi": (_run_rabi, "rabi.json"),
+    "suppress": (_run_suppress, "suppress.json"),
+    "grassmann_verify": (_run_grassmann, "grassmann.json"),
+    "sweep": (_run_sweep, "sweep.json"),
 }
+KINDS = tuple(_HANDLERS)
 
 
 def run(kind: str, scenario_path, out_dir, tol: float = 1e-10, step=None) -> int:
@@ -458,7 +439,8 @@ def run(kind: str, scenario_path, out_dir, tol: float = 1e-10, step=None) -> int
         declared = scenario.get("kind")
         if declared is not None and declared != kind:
             raise ValidationError(f"scenario kind {declared!r} does not match command {kind!r}")
-        _HANDLERS[kind](scenario, out, tol, step)
+        handler, report = _HANDLERS[kind]
+        _write_json(out / report, handler(scenario, out, tol, step))
     except PseudospinError as exc:
         _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)

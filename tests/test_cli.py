@@ -1,15 +1,19 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pseudospin
-from pseudospin.cli import emit_trajectory, main, read_trajectory
-from pseudospin.dynamics import Trajectory
+from pseudospin import cli
+from pseudospin.cli import KINDS, emit_trajectory, main, read_trajectory
+from pseudospin.dynamics import Trajectory, evolve_trajectory
+from pseudospin.linalg import hamiltonian_from_field
 
 RNG = np.random.default_rng(5)
 
@@ -285,12 +289,63 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
                                 "time": {"start": 0.0, "step": 0.1}}, id="time-without-stop"),
         pytest.param("check", {"field": [["x", 0], 0, 1]}, id="check-field-pair-not-a-number"),
         pytest.param("check", {"field": [1.0, float("nan"), 0.0]}, id="check-field-nan"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0],
+                                "time": {"start": -1e308, "stop": 1e308, "step": 1}},
+                     id="time-span-overflows"),
     ],
 )
 def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
     scen = write_scenario(tmp_path, {"kind": kind, **scenario})
     out = tmp_path / "out"
     assert run_cli(kind, scen, out) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
+
+REPORTS = {
+    "check": ({"field": [1.0, 0.0, [0.0, 0.5]]}, "check.json"),
+    "metric": ({"field": [1.0, 0.0, [0.0, 0.6]], "alpha": 0.6}, "metric.json"),
+    "evolve": ({"field": [0, 0, 1], "state": [1, 0], "time": {"stop": 1.0, "num": 3}},
+               "evolve.json"),
+    "bloch": ({"field": [0, 0, 1], "n0": [1, 0, 0], "time": {"stop": 0.1, "step": 0.05}},
+              "bloch.json"),
+    "rabi": ({"b": 1.0, "b_z": 1.0, "omega": 2.0}, "rabi.json"),
+    "suppress": ({"b_z": 1.0, "omega": 2.0, "alpha": 0.5}, "suppress.json"),
+    "grassmann_verify": ({}, "grassmann.json"),
+    "sweep": ({"grid": {"b": [1.0, 1.5]}, "b_z": 1.0, "omega": 2.0, "alpha": 0.5}, "sweep.json"),
+}
+
+
+def test_kinds_are_the_cli_subcommands(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{([a-z_,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert [c.replace("-", "_") for c in commands] == list(KINDS)
+    assert set(KINDS) == set(REPORTS)
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+def test_each_kind_writes_its_report(tmp_path, kind):
+    scenario, report = REPORTS[kind]
+    scen = write_scenario(tmp_path, {"kind": kind, **scenario})
+    out = tmp_path / "out"
+    assert run_cli(kind.replace("_", "-"), scen, out) == 0
+    assert isinstance(json.loads((out / report).read_text()), dict)
+    assert not (out / "error.json").exists()
+
+
+def test_grassmann_failure_keeps_its_report(tmp_path, monkeypatch):
+    suite_of = cli.correspondence_suite
+
+    def failing_suite(field, tol):
+        suite = suite_of(field, tol)
+        suite["generator_pairs"][0]["exact"] = False
+        return suite
+
+    monkeypatch.setattr(cli, "correspondence_suite", failing_suite)
+    scen = write_scenario(tmp_path, {"kind": "grassmann_verify"})
+    out = tmp_path / "out"
+    assert run_cli("grassmann-verify", scen, out) == 2
+    assert json.loads((out / "grassmann.json").read_text())["required_pairs_exact"] is False
     assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
 
 
@@ -343,6 +398,17 @@ def test_trajectory_round_trip_is_bit_identical(tmp_path):
     assert np.array_equal(s, states)
     assert np.array_equal(n["canonical"], norms["canonical"])
     assert np.array_equal(n["eta"], norms["eta"])
+
+
+def test_empty_trajectory_round_trip(tmp_path):
+    traj = evolve_trajectory(hamiltonian_from_field([0.0, 0.0, 1.0]), [1.0, 0.0], [])
+    path = tmp_path / "empty.csv"
+    emit_trajectory(traj, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, states, norms = read_trajectory(path)
+    assert t.shape == (0,) and states.shape == (0, 3)
+    assert norms["canonical"].shape == norms["eta"].shape == (0,)
 
 
 def test_outputs_are_deterministic(tmp_path):

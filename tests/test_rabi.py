@@ -343,6 +343,31 @@ def test_omega_squared_branches():
     assert omega_squared(unit) == pytest.approx(-unit.params.delta * unit.params.omega, abs=1e-10)
 
 
+def _unit_alpha_tolerance(alpha: float, omega: float) -> float:
+    """Absolute tolerance of omega_squared: alpha^2 / (1 - alpha^2) (Omega_R^2 - omega^2)
+    cancels as |alpha| -> 1 and loses a factor 1 / |1 - alpha^2|; |alpha| = 1 has its own form."""
+    gap = abs(1.0 - alpha**2)
+    return 16e-16 * omega**2 / (gap if gap else 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    omega=st.floats(0.05, 3.0),
+    ratio=st.floats(0.02, 0.98),  # b_z / omega: solvable side, off the critical point
+    exponent=st.floats(-12.0, -2.0),
+    side=st.sampled_from([-1.0, 0.0, 1.0]),  # 0: |alpha| exactly 1
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_omega_squared_near_unit_alpha(omega, ratio, exponent, side, sign):
+    alpha = sign * (1.0 + side * 10.0**exponent)
+    b_z = ratio * omega
+    pr = PseudoHermitianRabi(
+        RabiParameters(solve_suppression_B(b_z, omega, alpha), b_z, omega, alpha)
+    )
+    expected = -pr.params.delta * omega
+    assert abs(omega_squared(pr) - expected) <= _unit_alpha_tolerance(alpha, omega)
+
+
 def test_nonrotating_hamiltonians_structure():
     pr = PseudoHermitianRabi(SUPPRESSED)
     h_real, h_dressed = nonrotating_hamiltonians(pr)
