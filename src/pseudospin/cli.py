@@ -47,6 +47,8 @@ from .rabi import (
 
 # ----------------------------------------------------------- scenario parsing
 
+_MAX_POINTS = 10**6  # samples in a time grid or points in a sweep: 100x the largest documented
+
 
 def _parse_real(value, where: str) -> float:
     """Every real number a scenario holds is read here: finite, or a ValidationError."""
@@ -73,6 +75,13 @@ def _parse_vector(value, where: str, size: int, parse=_parse_complex) -> np.ndar
     return np.array([parse(v, where) for v in value])
 
 
+def _check_count(count: int, where: str) -> int:
+    """A sample or point count, checked before anything is allocated."""
+    if not 1 <= count <= _MAX_POINTS:
+        raise ValidationError(f"{where}: expected 1 to {_MAX_POINTS} points, got {count:.7g}")
+    return count
+
+
 def _parse_time_grid(window, step_override=None) -> np.ndarray:
     if not isinstance(window, dict):
         raise ValidationError("time: expected an object with start/stop and step or num")
@@ -86,9 +95,7 @@ def _parse_time_grid(window, step_override=None) -> np.ndarray:
         step = _parse_real(window["step"], "time.step")
     elif "num" in window:
         num = int(_parse_real(window["num"], "time.num"))
-        if num < 1:
-            raise ValidationError("time: num must be positive")
-        return np.linspace(start, stop, num)
+        return np.linspace(start, stop, _check_count(num, "time.num"))
     else:
         raise ValidationError("time: needs step or num")
     if step <= 0:
@@ -96,7 +103,7 @@ def _parse_time_grid(window, step_override=None) -> np.ndarray:
     count = (stop - start) / step
     if not math.isfinite(count):
         raise ValidationError("time: (stop - start) / step must be finite")
-    return start + step * np.arange(int(round(count)) + 1)
+    return start + step * np.arange(_check_count(int(round(count)) + 1, "time"))
 
 
 def _require(scenario: dict, key: str):
@@ -116,8 +123,15 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _to_json(payload, indent=None) -> str:
+    try:
+        return json.dumps(payload, default=_encode, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:  # allow_nan=False: Infinity and NaN are not JSON
+        raise ValidationError(f"result is not finite: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, default=_encode, sort_keys=True, indent=2) + "\n")
+    path.write_text(_to_json(payload, indent=2) + "\n")
 
 
 # --------------------------------------------------------------- trajectories
@@ -379,9 +393,7 @@ def _grid_axis(axis, name: str) -> list:
         start, stop, num = (
             _parse_real(axis.get(key), f"{where}.{key}") for key in ("start", "stop", "num")
         )
-        if num < 1:
-            raise ValidationError(f"{where}: num must be positive")
-        return list(np.linspace(start, stop, int(num)))
+        return list(np.linspace(start, stop, _check_count(int(num), where)))
     return [_parse_real(v, where) for v in (axis if isinstance(axis, (list, tuple)) else [axis])]
 
 
@@ -399,6 +411,7 @@ def _run_sweep(scenario, out_dir, tol, step):
             axes[name] = [0.0]
         else:
             raise ValidationError(f"sweep needs {name!r} in the grid or as a scalar")
+    _check_count(math.prod(len(axis) for axis in axes.values()), "grid")
     points = [
         RabiParameters(b=b, b_z=b_z, omega=omega, alpha=alpha, a=a)
         for b, b_z, omega, alpha, a in itertools.product(
@@ -407,7 +420,7 @@ def _run_sweep(scenario, out_dir, tol, step):
     ]
     with open(out_dir / "sweep.jsonl", "w", newline="") as fh:
         for p in points:
-            fh.write(json.dumps(_rabi_point(p, tol), default=_encode, sort_keys=True) + "\n")
+            fh.write(_to_json(_rabi_point(p, tol)) + "\n")
     return {"points": len(points)}
 
 
@@ -440,7 +453,11 @@ def run(kind: str, scenario_path, out_dir, tol: float = 1e-10, step=None) -> int
         if declared is not None and declared != kind:
             raise ValidationError(f"scenario kind {declared!r} does not match command {kind!r}")
         handler, report = _HANDLERS[kind]
-        _write_json(out / report, handler(scenario, out, tol, step))
+        try:
+            payload = handler(scenario, out, tol, step)
+        except OverflowError as exc:  # Python float arithmetic past 1.8e308, e.g. b**2
+            raise ValidationError(f"arithmetic overflow: {exc}") from exc
+        _write_json(out / report, payload)
     except PseudospinError as exc:
         _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
         print(f"error: {exc}", file=sys.stderr)

@@ -9,11 +9,11 @@ antisymmetrized operator products, precomputed in closed form.
 
 Sign conventions, fixed once:
   * product sign counts the transpositions needed to merge two ascending
-    monomials;
+    monomials (the table _SIGN);
   * the star involution conjugates coefficients and reverses monomials,
     giving the factor (-1)^(k(k-1)/2) on degree k;
-  * derivatives act from the right, (d/dxi_i) xi_{i1}..xi_{ik} picks up
-    (-1)^(k-j) at position j; left derivatives pick up (-1)^(j-1);
+  * derivatives read the product sign: d/dxi_i from the right (left) takes
+    that of xi_rest xi_i (xi_i xi_rest), (-1)^(k-j) ((-1)^(j-1)) at position j;
   * the reduced Dirac bracket is {f, g} = -i sum_m (right_m f)(left_m g),
     whose base case on generator pairs is -i delta_ij.
 """
@@ -56,6 +56,14 @@ def _merge_sign(left_mask: int, right_mask: int) -> int:
     return -1 if inversions % 2 else 1
 
 
+# xi_a xi_b = _SIGN[a][b] xi_(a|b); 0 when the monomials share a generator
+_SIGN = tuple(
+    tuple(0 if a & b else _merge_sign(a, b) for b in range(_BASIS_SIZE))
+    for a in range(_BASIS_SIZE)
+)
+_DEGREE = tuple(bin(mask).count("1") for mask in range(_BASIS_SIZE))
+
+
 class GrassmannElement:
     """Complex polynomial in three anticommuting generators."""
 
@@ -94,7 +102,7 @@ class GrassmannElement:
         return complex(self.coeffs[mask])
 
     def degrees(self) -> set:
-        return {bin(m).count("1") for m in range(_BASIS_SIZE) if self.coeffs[m] != 0}
+        return {_DEGREE[m] for m in range(_BASIS_SIZE) if self.coeffs[m] != 0}
 
     def parity(self) -> int:
         """0 or 1 for parity-homogeneous elements; zero counts as even."""
@@ -143,13 +151,17 @@ class GrassmannElement:
         return "GrassmannElement(" + (" + ".join(terms) if terms else "0") + ")"
 
 
+def _monomial(mask: int) -> GrassmannElement:
+    out = GrassmannElement()
+    out.coeffs[mask] = 1.0
+    return out
+
+
 def generator(i: int) -> GrassmannElement:
     """The i-th generator, i in {1, 2, 3}."""
     if not 1 <= i <= 3:
         raise ValidationError("generator index must be 1, 2 or 3")
-    out = GrassmannElement()
-    out.coeffs[1 << (i - 1)] = 1.0
-    return out
+    return _monomial(1 << (i - 1))
 
 
 def product(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
@@ -163,7 +175,7 @@ def product(f: GrassmannElement, g: GrassmannElement) -> GrassmannElement:
             cb = g.coeffs[b]
             if cb == 0 or (a & b):
                 continue
-            out.coeffs[a | b] += _merge_sign(a, b) * ca * cb
+            out.coeffs[a | b] += _SIGN[a][b] * ca * cb
     return out
 
 
@@ -176,8 +188,7 @@ def involution_star(f: GrassmannElement) -> GrassmannElement:
     """
     out = GrassmannElement()
     for mask in range(_BASIS_SIZE):
-        k = bin(mask).count("1")
-        out.coeffs[mask] = _REVERSAL_SIGN[k] * np.conj(f.coeffs[mask])
+        out.coeffs[mask] = _REVERSAL_SIGN[_DEGREE[mask]] * np.conj(f.coeffs[mask])
     return out
 
 
@@ -236,13 +247,9 @@ def right_derivative(f: GrassmannElement, i: int) -> GrassmannElement:
     bit = 1 << (i - 1)
     out = GrassmannElement()
     for mask in range(_BASIS_SIZE):
-        c = f.coeffs[mask]
-        if c == 0 or not (mask & bit):
-            continue
-        k = bin(mask).count("1")
-        pos = bin(mask & (bit - 1)).count("1") + 1
-        sign = -1 if (k - pos) % 2 else 1
-        out.coeffs[mask ^ bit] += sign * c
+        if mask & bit and f.coeffs[mask] != 0:
+            rest = mask ^ bit
+            out.coeffs[rest] += _SIGN[rest][bit] * f.coeffs[mask]
     return out
 
 
@@ -253,12 +260,9 @@ def left_derivative(f: GrassmannElement, i: int) -> GrassmannElement:
     bit = 1 << (i - 1)
     out = GrassmannElement()
     for mask in range(_BASIS_SIZE):
-        c = f.coeffs[mask]
-        if c == 0 or not (mask & bit):
-            continue
-        pos = bin(mask & (bit - 1)).count("1") + 1
-        sign = -1 if (pos - 1) % 2 else 1
-        out.coeffs[mask ^ bit] += sign * c
+        if mask & bit and f.coeffs[mask] != 0:
+            rest = mask ^ bit
+            out.coeffs[rest] += _SIGN[bit][rest] * f.coeffs[mask]
     return out
 
 
@@ -340,19 +344,10 @@ def quantize_transformed(g: GrassmannElement, rotation) -> np.ndarray:
     """
     r = _require_orthogonal(rotation)
     det = complex(np.linalg.det(r))
-    if abs(det - 1.0) < 1e-9:
-        sign = 1.0
-    elif abs(det + 1.0) < 1e-9:
-        sign = -1.0
-    else:
+    sign = 1.0 if abs(det - 1.0) < 1e-9 else -1.0
+    if not abs(det - sign) < 1e-9:  # NaN fails too
         raise ValidationError(f"determinant {det:.6g} is not +-1")
-    out = np.zeros((2, 2), dtype=complex)
-    for mask in range(_BASIS_SIZE):
-        c = g.coeffs[mask]
-        if c != 0:
-            k = bin(mask).count("1")
-            out = out + c * (sign ** (k % 2)) * _QUANT_IMAGE[mask]
-    return out
+    return quantize(GrassmannElement(g.coeffs * sign ** (np.array(_DEGREE) % 2)))
 
 
 def graded_commutator(a: np.ndarray, b: np.ndarray, parity_a: int, parity_b: int) -> np.ndarray:
@@ -395,34 +390,20 @@ def verify_correspondence(
 
 def correspondence_suite(field, tol: float = 1e-12) -> dict:
     """Machine-checkable report over generator pairs and Hamiltonian pairs."""
-    results = {"generator_pairs": [], "hamiltonian_pairs": [], "basis_pairs": []}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            rep = verify_correspondence(generator(i), generator(j), tol)
-            results["generator_pairs"].append(
-                {"i": i, "j": j, "exact": rep.exact, "residual": rep.residual}
-            )
+    xi = {i: generator(i) for i in range(1, 4)}
     h = precession_hamiltonian(field)
-    for i in range(1, 4):
-        rep = verify_correspondence(h, generator(i), tol)
-        results["hamiltonian_pairs"].append(
-            {"i": i, "exact": rep.exact, "residual": rep.residual}
-        )
-    for a in range(_BASIS_SIZE):
-        for b in range(_BASIS_SIZE):
-            fa, fb = GrassmannElement(), GrassmannElement()
-            fa.coeffs[a] = 1.0
-            fb.coeffs[b] = 1.0
-            rep = verify_correspondence(fa, fb, tol)
-            results["basis_pairs"].append(
-                {"a": a, "b": b, "exact": rep.exact, "residual": rep.residual}
-            )
-    everything = (
-        results["generator_pairs"] + results["hamiltonian_pairs"] + results["basis_pairs"]
+    basis = [(a, b) for a in range(_BASIS_SIZE) for b in range(_BASIS_SIZE)]
+    cases = (
+        [("generator_pairs", {"i": i, "j": j}, xi[i], xi[j]) for i in xi for j in xi]
+        + [("hamiltonian_pairs", {"i": i}, h, xi[i]) for i in xi]
+        + [("basis_pairs", {"a": a, "b": b}, _monomial(a), _monomial(b)) for a, b in basis]
     )
+    results = {"generator_pairs": [], "hamiltonian_pairs": [], "basis_pairs": []}
+    for group, labels, f, g in cases:
+        rep = verify_correspondence(f, g, tol)
+        results[group].append({**labels, "exact": rep.exact, "residual": rep.residual})
+    everything = [entry for entries in results.values() for entry in entries]
     results["all_exact"] = all(entry["exact"] for entry in everything)
     results["max_residual"] = max(entry["residual"] for entry in everything)
-    results["non_exact_pairs"] = [
-        entry for entry in results["basis_pairs"] if not entry["exact"]
-    ]
+    results["non_exact_pairs"] = [e for e in results["basis_pairs"] if not e["exact"]]
     return results

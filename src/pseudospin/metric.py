@@ -36,20 +36,22 @@ from .linalg import (
 REAL_TOL = 1e-10
 
 
-def _is_real(z: complex, tol: float = REAL_TOL) -> bool:
-    return abs(z.imag) / max(1.0, abs(z.real)) < tol
+def _square_in_r_plus(sq: complex, tol: float) -> bool:
+    """The field square is real and nonnegative, both relative to max(1, |Re F^2|)."""
+    scale = max(1.0, abs(sq.real))
+    return abs(sq.imag) / scale < tol and sq.real >= -tol * scale
 
 
 def is_pseudo_hermitian(op, tol: float = REAL_TOL) -> bool:
-    """True iff det(H) is real and <= 0, i.e. the field square is in R+.
+    """True iff the field square F^2 = -4 det(H) is in R+.
 
-    Real determinant <= 0 is equivalent to a real eigenvalue pair +-E/2,
-    which is the existence condition for a positive-definite metric.
+    A real F^2 >= 0 is equivalent to a real eigenvalue pair +-E/2, which is
+    the existence condition for a positive-definite metric.
     """
     h = as_operator(op)
     _require_traceless(h, 1e-12)
-    d = complex(np.linalg.det(h))
-    return _is_real(d, tol) and d.real <= tol * max(1.0, abs(d.real))
+    _, t = pauli_decompose(h)
+    return _square_in_r_plus(field_square(2.0 * t), tol)
 
 
 def _check_plane_pair(f: np.ndarray, b: np.ndarray, tol: float) -> complex:
@@ -103,7 +105,7 @@ def canonical_limit_field(
     if abs(f[1]) > tol * max(1.0, np.linalg.norm(f)) or abs(f0[1]) > tol * max(1.0, scale0):
         raise PlaneRestrictionViolatedError("second field component must vanish")
     sq = field_square(f)
-    if not _is_real(sq, tol) or sq.real < -tol * max(1.0, abs(sq.real)):
+    if not _square_in_r_plus(sq, tol):
         raise NonPseudoHermitianError(f"field square {sq:.6g} is not in R+")
     return float(np.sqrt(max(sq.real, 0.0))) / scale0 * f0.real
 

@@ -13,7 +13,9 @@ import pseudospin
 from pseudospin import cli
 from pseudospin.cli import KINDS, emit_trajectory, main, read_trajectory
 from pseudospin.dynamics import Trajectory, evolve_trajectory
+from pseudospin.exceptions import NonPseudoHermitianError
 from pseudospin.linalg import hamiltonian_from_field
+from pseudospin.metric import canonical_limit_field
 
 RNG = np.random.default_rng(5)
 
@@ -45,6 +47,38 @@ def test_check_non_pseudo_hermitian_field(tmp_path):
     report = json.loads((tmp_path / "out" / "check.json").read_text())
     assert report["pseudo_hermitian"] is False
     assert report["field_square"] == pytest.approx([-3.0, 0.0])
+
+
+def _field_with_square(x: float, square: complex) -> list:
+    """In-plane field (x, 0, z) with z^2 = square - x^2, as a scenario value."""
+    z = np.sqrt(complex(square - x * x))
+    return [x, 0.0, [z.real, z.imag]]
+
+
+def test_check_agrees_with_metric_on_field_square_band(tmp_path):
+    # the band where a det(H) = -F^2/4 test accepted up to 4x more than the F^2 rule
+    tol, alpha = 1e-10, 0.5
+    band = np.random.default_rng(17)
+    fields = [[1.0, 0.0, [1.414213562373095e-10, 0.7071067811865476]]]  # F^2 = 0.5 + 2e-10 i
+    for _ in range(20):
+        x = band.uniform(0.5, 2.0)
+        im = band.choice([-1.0, 1.0]) * band.uniform(tol, 4.0 * tol)
+        fields.append(_field_with_square(x, complex(band.uniform(0.1, 3.0), im)))
+        fields.append(_field_with_square(x, -band.uniform(tol, 4.0 * tol)))
+    verdicts, accepted = [], []
+    for k, field in enumerate(fields):
+        out = tmp_path / f"out{k}"
+        assert run_cli("check", write_scenario(tmp_path, {"field": field}), out) == 0
+        verdicts.append(json.loads((out / "check.json").read_text())["pseudo_hermitian"])
+        f = np.array([complex(*v) if isinstance(v, list) else v for v in field])
+        family = lambda a: f.real + 1j * (a / alpha) * f.imag  # the metric kind's alpha family
+        try:
+            canonical_limit_field(family, alpha, tol)
+            accepted.append(True)
+        except NonPseudoHermitianError:
+            accepted.append(False)
+    assert verdicts == accepted
+    assert not accepted[0]
 
 
 def test_metric_from_limit_family(tmp_path):
@@ -262,6 +296,7 @@ def test_sweep_classification(tmp_path):
         [1.0, "b"],
         "b",
         None,
+        [],
     ],
 )
 def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
@@ -292,6 +327,17 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
         pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0],
                                 "time": {"start": -1e308, "stop": 1e308, "step": 1}},
                      id="time-span-overflows"),
+        pytest.param("evolve", {"field": [1.0, 0.0, 0.5], "state": [1, 0],
+                                "time": {"stop": 1e300, "step": 1}}, id="time-step-unbounded"),
+        pytest.param("evolve", {"field": [1.0, 0.0, 0.5], "state": [1, 0],
+                                "time": {"stop": 1.0, "num": 1e300}}, id="time-num-unbounded"),
+        pytest.param("rabi", {"b": 1.0, "b_z": 1.0, "omega": 2.0,
+                              "time": {"stop": 1.0, "step": 1e-6}}, id="rabi-time-over-cap"),
+        pytest.param("sweep", {"grid": {"b": {"start": 0.5, "stop": 1.5, "num": 1e300}},
+                               "b_z": 1.0, "omega": 2.0, "alpha": 0.5}, id="sweep-num-unbounded"),
+        pytest.param("sweep", {"grid": {"b": {"start": 0.5, "stop": 1.5, "num": 1000},
+                                        "alpha": {"start": 0.1, "stop": 0.9, "num": 1001}},
+                               "b_z": 1.0, "omega": 2.0}, id="sweep-points-over-cap"),
     ],
 )
 def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
@@ -299,6 +345,28 @@ def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
     out = tmp_path / "out"
     assert run_cli(kind, scen, out) == 2
     assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "kind, scenario",
+    [
+        pytest.param("rabi", {"b": 1e200, "b_z": 1.0, "omega": 2.0}, id="rabi-b-squared"),
+        pytest.param("sweep", {"grid": {"b": [1e200]}, "b_z": 1.0, "omega": 2.0, "alpha": 0.5},
+                     id="sweep-b-squared"),
+        pytest.param("suppress", {"b_z": 1.0, "omega": 2.0, "alpha": 1e200},
+                     id="suppress-alpha-squared"),
+        pytest.param("rabi", {"b": 1.3e154, "b_z": 1.3e154, "omega": 0.0},
+                     id="rabi-freq-sq-infinite"),
+    ],
+)
+def test_rabi_overflow_is_validation_error(tmp_path, kind, scenario):
+    scen = write_scenario(tmp_path, {"kind": kind, **scenario})
+    out = tmp_path / "out"
+    assert run_cli(kind, scen, out) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+    for path in out.iterdir():
+        text = path.read_text()
+        assert "Infinity" not in text and "NaN" not in text, path.name
 
 
 REPORTS = {

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospin.exceptions import NonHomogeneousError, ValidationError
 from pseudospin.grassmann import (
@@ -335,6 +337,34 @@ def test_right_and_left_derivatives():
     assert dist(right_derivative(top, 2), -1.0 * (XI[0] * XI[2])) == 0.0
     assert dist(left_derivative(top, 2), -1.0 * (XI[0] * XI[2])) == 0.0
     assert dist(left_derivative(top, 3), XI[0] * XI[1]) == 0.0
+
+
+def gaussian_integer_homogeneous(parity):
+    """Parity-homogeneous element with small Gaussian-integer coefficients: products are exact."""
+    masks = (0, 3, 5, 6) if parity == 0 else (1, 2, 4, 7)
+    pairs = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=4, max_size=4)
+
+    def build(values):
+        out = GrassmannElement()
+        for m, (re, im) in zip(masks, values):
+            out.coeffs[m] = complex(re, im)
+        return out
+
+    return pairs.map(build)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), pf=st.integers(0, 1), pg=st.integers(0, 1), i=st.integers(1, 3))
+def test_derivative_sign_rules(data, pf, pg, i):
+    # graded Leibniz rules for both derivatives and the parity relation between them
+    f = data.draw(gaussian_integer_homogeneous(pf))
+    g = data.draw(gaussian_integer_homogeneous(pg))
+    fg = product(f, g)
+    right = product(f, right_derivative(g, i)) + (-1) ** pg * product(right_derivative(f, i), g)
+    left = product(left_derivative(f, i), g) + (-1) ** pf * product(f, left_derivative(g, i))
+    assert right_derivative(fg, i) == right
+    assert left_derivative(fg, i) == left
+    assert left_derivative(f, i) == (-1) ** (pf - 1) * right_derivative(f, i)
 
 
 # ------------------------------------------------------------- quantization

@@ -83,6 +83,32 @@ def test_spectrum_imaginary_pair_matches_eigensolver():
     assert np.allclose(sorted([e_plus, e_minus], key=lambda z: z.imag), direct, atol=1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    log_s=st.floats(-6.0, 6.0),
+    exponent=st.floats(-16.0, -3.0),
+    on_axis=st.booleans(),
+)
+def test_spectrum_across_branch_cut(log_s, exponent, on_axis):
+    # F = (i sqrt(s), 0, sqrt(eps / 2) (1 +- i)) has F^2 = -s +- i eps: the principal-sqrt cut
+    s = 10.0**log_s
+    eps = 0.0 if on_axis else s * 10.0**exponent
+    pairs = []
+    for side in (1.0, -1.0):
+        f = [1j * np.sqrt(s), 0.0, np.sqrt(0.5 * eps) * (1.0 + side * 1j)]
+        e_plus, e_minus = spectrum(hamiltonian_from_field(f))
+        assert e_plus.real >= 0.0
+        assert e_minus == -e_plus
+        pairs.append((e_plus, e_minus))
+    (a_plus, a_minus), (b_plus, b_minus) = pairs
+    # the unordered pair moves by the first-order 0.5 eps / sqrt(s), not by sqrt(s)
+    jump = min(
+        max(abs(a_plus - b_plus), abs(a_minus - b_minus)),
+        max(abs(a_plus - b_minus), abs(a_minus - b_plus)),
+    )
+    assert jump <= np.sqrt(s) * (eps / s + 1e-15)
+
+
 def test_spectrum_rejects_traced_operator():
     with pytest.raises(NonTracelessError):
         spectrum(np.eye(2))
