@@ -4,12 +4,16 @@ Scenarios are JSON; complex numbers are [re, im] pairs (plain numbers are
 accepted as reals).  Every run writes machine-readable output into the
 --out directory and exits 0 on success, 2 on a validation problem and 3
 when the mathematics refuses (no real solution, wrong regime, ...).
-Identical scenarios produce byte-identical outputs.
+Handlers compute and return their files; run() checks every number in
+them for finiteness and encodes them all before it writes any, so a
+non-zero exit writes only error.json (plus grassmann.json for a failed
+suite).  Identical scenarios produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -112,7 +116,7 @@ def _require(scenario: dict, key: str):
     return scenario[key]
 
 
-def _encode(obj):
+def _json_default(obj):
     """json.dumps default= hook; json encodes its result again, so complex entries become pairs."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -123,33 +127,35 @@ def _encode(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _to_json(payload, indent=None) -> str:
+def _encode(name: str, content) -> str:
+    """File text by suffix: .json, .jsonl (iterable of records), else (header, columns) as CSV."""
+    dump = functools.partial(json.dumps, default=_json_default, sort_keys=True, allow_nan=False)
     try:
-        return json.dumps(payload, default=_encode, sort_keys=True, indent=indent, allow_nan=False)
+        if name.endswith(".json"):
+            return dump(content, indent=2) + "\n"
+        if name.endswith(".jsonl"):
+            return "".join(dump(record) + "\n" for record in content)
     except ValueError as exc:  # allow_nan=False: Infinity and NaN are not JSON
         raise ValidationError(f"result is not finite: {exc}") from exc
+    header, columns = content
+    table = np.column_stack(columns)
+    if not np.isfinite(table).all():
+        raise ValidationError(f"result is not finite: {name} has a non-finite entry")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + "".join(row % tuple(values) for values in table)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_to_json(payload, indent=2) + "\n")
+def _write(out: Path, files: dict) -> None:
+    """Write {file name: content} into out; every file is encoded before any is written."""
+    texts = {name: _encode(name, content) for name, content in files.items()}
+    for name, text in texts.items():
+        (out / name).write_text(text, newline="")
 
 
 # --------------------------------------------------------------- trajectories
 
 
-def _write_columns(path, header: str, columns) -> None:
-    table = np.column_stack(columns)
-    with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
-
-
-def emit_trajectory(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV with 17 significant digits and LF endings.
-
-    Columns are the fixed schema t, n{1,2,3}_{re,im}, norm_canonical,
-    norm_eta.  Quantum runs fill the norm columns with the canonical and
-    metric norms; classical runs carry the raw and projected |n| there.
-    """
+def _trajectory_table(traj: Trajectory) -> tuple:
     canonical = traj.norms.get("canonical", traj.norms.get("raw"))
     eta = traj.norms.get("eta", traj.norms.get("projected"))
     if canonical is None:
@@ -158,7 +164,17 @@ def emit_trajectory(traj: Trajectory, path) -> None:
         eta = canonical
     n_re_im = np.ascontiguousarray(traj.states, dtype=complex).reshape(len(traj), 3).view(float)
     header = "t,n1_re,n1_im,n2_re,n2_im,n3_re,n3_im,norm_canonical,norm_eta"
-    _write_columns(path, header, [traj.times, n_re_im, canonical, eta])
+    return header, [traj.times, n_re_im, canonical, eta]
+
+
+def emit_trajectory(traj: Trajectory, path) -> None:
+    """Write a finite trajectory as CSV with 17 significant digits and LF endings.
+
+    Columns are the fixed schema t, n{1,2,3}_{re,im}, norm_canonical,
+    norm_eta.  Quantum runs fill the norm columns with the canonical and
+    metric norms; classical runs carry the raw and projected |n| there.
+    """
+    Path(path).write_text(_encode("trajectory.csv", _trajectory_table(traj)), newline="")
 
 
 def read_trajectory(path):
@@ -200,7 +216,7 @@ def _metric_inputs(scenario: dict, tol: float):
 # ------------------------------------------------------------------- handlers
 
 
-def _run_check(scenario, out_dir, tol, step):
+def _run_check(scenario, tol, step):
     field = _parse_vector(_require(scenario, "field"), "field", 3)
     h = hamiltonian_from_field(field)
     e_plus, e_minus = spectrum(h)
@@ -211,10 +227,10 @@ def _run_check(scenario, out_dir, tol, step):
         "pseudo_hermitian": bool(is_pseudo_hermitian(h, tol)),
         "eigenvalues": [e_plus, e_minus],
     }
-    return payload
+    return {"check.json": payload}
 
 
-def _run_metric(scenario, out_dir, tol, step):
+def _run_metric(scenario, tol, step):
     field, real_field = _metric_inputs(scenario, tol)
     pair = build_isometry(field, real_field, tol)
     rotation = canonical_rotation(field, real_field, tol)
@@ -234,10 +250,10 @@ def _run_metric(scenario, out_dir, tol, step):
             "eigenvalue": spectrum(h_f)[0],
         },
     }
-    return payload
+    return {"metric.json": payload}
 
 
-def _run_evolve(scenario, out_dir, tol, step):
+def _run_evolve(scenario, tol, step):
     field = _parse_vector(_require(scenario, "field"), "field", 3)
     psi0 = _parse_vector(_require(scenario, "state"), "state", 2)
     grid = _parse_time_grid(_require(scenario, "time"), step)
@@ -258,17 +274,16 @@ def _run_evolve(scenario, out_dir, tol, step):
         )
     else:
         raise ValidationError(f"unknown metric tag {metric_tag!r}")
-    emit_trajectory(traj, out_dir / "trajectory.csv")
     payload = {
         "samples": len(traj),
         "metric": metric_tag,
         "norm_canonical_drift": float(np.max(np.abs(traj.norms["canonical"] - 1.0))),
         "norm_eta_drift": float(np.max(np.abs(traj.norms["eta"] - 1.0))),
     }
-    return payload
+    return {"trajectory.csv": _trajectory_table(traj), "evolve.json": payload}
 
 
-def _run_bloch(scenario, out_dir, tol, step):
+def _run_bloch(scenario, tol, step):
     model = scenario.get("model", "damped")
     n0 = _parse_vector(_require(scenario, "n0"), "n0", 3, _parse_real)
     grid = _parse_time_grid(_require(scenario, "time"), step)
@@ -289,7 +304,6 @@ def _run_bloch(scenario, out_dir, tol, step):
     else:
         raise ValidationError(f"unknown bloch model {model!r}")
     traj = integrate(rhs, n0, grid, renormalize=renormalize)
-    emit_trajectory(traj, out_dir / "trajectory.csv")
     payload = {
         "model": model,
         "samples": len(traj),
@@ -297,7 +311,7 @@ def _run_bloch(scenario, out_dir, tol, step):
         "final": traj.states[-1],
         "step": traj.metadata["step"],
     }
-    return payload
+    return {"trajectory.csv": _trajectory_table(traj), "bloch.json": payload}
 
 
 def _rabi_point(p: RabiParameters, tol: float) -> dict:
@@ -324,7 +338,7 @@ def _rabi_point(p: RabiParameters, tol: float) -> dict:
     return record
 
 
-def _run_rabi(scenario, out_dir, tol, step):
+def _run_rabi(scenario, tol, step):
     p = RabiParameters(
         b=_parse_real(_require(scenario, "b"), "b"),
         b_z=_parse_real(_require(scenario, "b_z"), "b_z"),
@@ -333,6 +347,7 @@ def _run_rabi(scenario, out_dir, tol, step):
         a=_parse_real(scenario.get("a", 0.0), "a"),
     )
     payload = _rabi_point(p, tol)
+    files = {"rabi.json": payload}
     amplitude = None
     if p.alpha == 0.0:
         amplitude = lambda t: rabi_amplitude(p, t)
@@ -346,12 +361,12 @@ def _run_rabi(scenario, out_dir, tol, step):
     if amplitude is not None and "time" in scenario:
         grid = _parse_time_grid(scenario["time"], step)
         z = amplitude(grid)
-        _write_columns(out_dir / "amplitude.csv", "t,amp_re,amp_im", [grid, z.real, z.imag])
+        files["amplitude.csv"] = ("t,amp_re,amp_im", [grid, z.real, z.imag])
         payload["amplitude_samples"] = len(grid)
-    return payload
+    return files
 
 
-def _run_suppress(scenario, out_dir, tol, step):
+def _run_suppress(scenario, tol, step):
     b_z = _parse_real(_require(scenario, "b_z"), "b_z")
     omega = _parse_real(_require(scenario, "omega"), "omega")
     alpha = _parse_real(_require(scenario, "alpha"), "alpha")
@@ -371,20 +386,20 @@ def _run_suppress(scenario, out_dir, tol, step):
         "delta": b_z - omega,
         "a": torque,
     }
-    return payload
+    return {"suppress.json": payload}
 
 
-def _run_grassmann(scenario, out_dir, tol, step):
+def _run_grassmann(scenario, tol, step):
     field = _parse_vector(scenario.get("b_field", [0.7, -1.1, 0.4]), "b_field", 3, _parse_real)
     suite = correspondence_suite(field, tol=max(tol, 1e-13))
     required = suite["generator_pairs"] + suite["hamiltonian_pairs"]
     suite["required_pairs_exact"] = all(entry["exact"] for entry in required)
     suite["b_field"] = field
     if not suite["required_pairs_exact"]:
-        # run() writes no report for a raising handler; the failed suite backs the error
-        _write_json(out_dir / "grassmann.json", suite)
-        raise ValidationError("generator or Hamiltonian correspondence pairs failed")
-    return suite
+        error = ValidationError("generator or Hamiltonian correspondence pairs failed")
+        error.files = {"grassmann.json": suite}  # run() writes the failed suite next to error.json
+        raise error
+    return {"grassmann.json": suite}
 
 
 def _grid_axis(axis, name: str) -> list:
@@ -397,7 +412,7 @@ def _grid_axis(axis, name: str) -> list:
     return [_parse_real(v, where) for v in (axis if isinstance(axis, (list, tuple)) else [axis])]
 
 
-def _run_sweep(scenario, out_dir, tol, step):
+def _run_sweep(scenario, tol, step):
     grid = _require(scenario, "grid")
     if not isinstance(grid, dict):
         raise ValidationError("grid: expected an object of parameter axes")
@@ -411,29 +426,26 @@ def _run_sweep(scenario, out_dir, tol, step):
             axes[name] = [0.0]
         else:
             raise ValidationError(f"sweep needs {name!r} in the grid or as a scalar")
-    _check_count(math.prod(len(axis) for axis in axes.values()), "grid")
-    points = [
-        RabiParameters(b=b, b_z=b_z, omega=omega, alpha=alpha, a=a)
+    count = _check_count(math.prod(len(axis) for axis in axes.values()), "grid")
+    records = (
+        _rabi_point(RabiParameters(b=b, b_z=b_z, omega=omega, alpha=alpha, a=a), tol)
         for b, b_z, omega, alpha, a in itertools.product(
             axes["b"], axes["b_z"], axes["omega"], axes["alpha"], axes["a"]
         )
-    ]
-    with open(out_dir / "sweep.jsonl", "w", newline="") as fh:
-        for p in points:
-            fh.write(_to_json(_rabi_point(p, tol)) + "\n")
-    return {"points": len(points)}
+    )
+    return {"sweep.jsonl": records, "sweep.json": {"points": count}}
 
 
-# kind -> (handler returning the report payload, report file name)
+# kind -> handler(scenario, tol, step) returning {file name: content}, its report included
 _HANDLERS = {
-    "check": (_run_check, "check.json"),
-    "metric": (_run_metric, "metric.json"),
-    "evolve": (_run_evolve, "evolve.json"),
-    "bloch": (_run_bloch, "bloch.json"),
-    "rabi": (_run_rabi, "rabi.json"),
-    "suppress": (_run_suppress, "suppress.json"),
-    "grassmann_verify": (_run_grassmann, "grassmann.json"),
-    "sweep": (_run_sweep, "sweep.json"),
+    "check": _run_check,
+    "metric": _run_metric,
+    "evolve": _run_evolve,
+    "bloch": _run_bloch,
+    "rabi": _run_rabi,
+    "suppress": _run_suppress,
+    "grassmann_verify": _run_grassmann,
+    "sweep": _run_sweep,
 }
 KINDS = tuple(_HANDLERS)
 
@@ -452,14 +464,13 @@ def run(kind: str, scenario_path, out_dir, tol: float = 1e-10, step=None) -> int
         declared = scenario.get("kind")
         if declared is not None and declared != kind:
             raise ValidationError(f"scenario kind {declared!r} does not match command {kind!r}")
-        handler, report = _HANDLERS[kind]
         try:
-            payload = handler(scenario, out, tol, step)
+            _write(out, _HANDLERS[kind](scenario, tol, step))  # sweep records are computed here
         except OverflowError as exc:  # Python float arithmetic past 1.8e308, e.g. b**2
             raise ValidationError(f"arithmetic overflow: {exc}") from exc
-        _write_json(out / report, payload)
     except PseudospinError as exc:
-        _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        _write(out, {**getattr(exc, "files", {}), "error.json": error})
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0

@@ -147,18 +147,20 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
 
     With renormalize the state is projected back to the unit sphere after
     every step.  Raw (pre-projection) and projected norms are both recorded.
-    A single-step norm drift above 0.01 aborts with StepTooLargeError.
+    A single-step norm drift above 0.01, or a non-finite norm, aborts with
+    StepTooLargeError.
     """
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     h = _uniform_step(t)
     n = np.asarray(n0, dtype=float).copy()
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(n) - 1.0) <= 1e-9:
         raise ValidationError("initial Bloch vector must be unit length")
 
     states = np.empty((len(t), 3), dtype=float)
     raw = np.empty(len(t))
     projected = np.empty(len(t))
-    states[0], raw[0], projected[0] = n, np.linalg.norm(n), np.linalg.norm(n)
+    states[0] = n
+    raw[0] = projected[0] = np.linalg.norm(n)
     for k in range(len(t) - 1):
         tk = t[k]
         k1 = rhs(tk, n)
@@ -166,15 +168,15 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
         k3 = rhs(tk + 0.5 * h, n + 0.5 * h * k2)
         k4 = rhs(tk + h, n + h * k3)
         n_new = n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        drift = abs(np.linalg.norm(n_new) - np.linalg.norm(n))
-        if drift > 0.01:
+        raw[k + 1] = projected[k + 1] = np.linalg.norm(n_new)
+        drift = abs(raw[k + 1] - projected[k])
+        if not drift <= 0.01:  # NaN fails this test too
             raise StepTooLargeError(
                 f"norm drifted by {drift:.3g} in one step at t={tk:.6g}; reduce the step"
             )
-        raw[k + 1] = np.linalg.norm(n_new)
         if renormalize:
-            n_new = n_new / np.linalg.norm(n_new)
-        projected[k + 1] = np.linalg.norm(n_new)
+            n_new = n_new / raw[k + 1]
+            projected[k + 1] = np.linalg.norm(n_new)
         states[k + 1] = n_new
         n = n_new
     return Trajectory(

@@ -9,9 +9,11 @@ fixes the branch of all spectra and evolution operators.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .exceptions import InvalidMetricError, NonTracelessError
+from .exceptions import InvalidMetricError, NonTracelessError, ValidationError
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
@@ -53,10 +55,14 @@ def field_square(field) -> complex:
 
     This is the quantity preserved by complex-orthogonal rotations of the
     field; it is a nonnegative real number exactly when the associated
-    two-level Hamiltonian has a real spectrum.
+    two-level Hamiltonian has a real spectrum.  A square that overflows to
+    a non-finite number is a ValidationError.
     """
     f = as_field(field)
-    return complex(np.sum(f * f))
+    sq = complex(np.sum(f * f))
+    if not cmath.isfinite(sq):
+        raise ValidationError(f"field square {sq:.6g} is not finite")
+    return sq
 
 
 def pauli_compose(t0: complex, tvec) -> np.ndarray:
@@ -107,7 +113,7 @@ def spectrum(op, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
     h = as_operator(op)
     _require_traceless(h, tol)
     _, f = pauli_decompose(h)
-    e_plus = 0.5 * principal_sqrt(complex(np.sum((2.0 * f) * (2.0 * f))))
+    e_plus = 0.5 * principal_sqrt(field_square(2.0 * f))
     return e_plus, -e_plus
 
 

@@ -13,7 +13,7 @@ import pseudospin
 from pseudospin import cli
 from pseudospin.cli import KINDS, emit_trajectory, main, read_trajectory
 from pseudospin.dynamics import Trajectory, evolve_trajectory
-from pseudospin.exceptions import NonPseudoHermitianError
+from pseudospin.exceptions import NonPseudoHermitianError, ValidationError
 from pseudospin.linalg import hamiltonian_from_field
 from pseudospin.metric import canonical_limit_field
 
@@ -338,6 +338,11 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
         pytest.param("sweep", {"grid": {"b": {"start": 0.5, "stop": 1.5, "num": 1000},
                                         "alpha": {"start": 0.1, "stop": 0.9, "num": 1001}},
                                "b_z": 1.0, "omega": 2.0}, id="sweep-points-over-cap"),
+        pytest.param("metric", {"field": [1e155, 0, [0, 1e155]], "alpha": 0.5},
+                     id="metric-field-square-overflows"),
+        pytest.param("evolve", {"field": [1e200, 0, 0], "state": [1, 0],
+                                "time": {"stop": 1.0, "num": 3}},
+                     id="evolve-field-square-overflows"),
     ],
 )
 def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
@@ -345,6 +350,7 @@ def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
     out = tmp_path / "out"
     assert run_cli(kind, scen, out) == 2
     assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+    assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 @pytest.mark.parametrize(
@@ -357,6 +363,13 @@ def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
                      id="suppress-alpha-squared"),
         pytest.param("rabi", {"b": 1.3e154, "b_z": 1.3e154, "omega": 0.0},
                      id="rabi-freq-sq-infinite"),
+        pytest.param("rabi", {"b": 1.3e154, "b_z": 1.3e154, "omega": 0.0,
+                              "time": {"stop": 1.0, "num": 3}}, id="rabi-freq-sq-infinite-trace"),
+        pytest.param("rabi", {"b": 1e150, "b_z": 1.0, "omega": 2.0,
+                              "time": {"start": 0.0, "stop": 1e160, "num": 3}},
+                     id="rabi-trace-not-finite"),
+        pytest.param("sweep", {"grid": {"b": [1.0, 1e200]}, "b_z": 1.0, "omega": 2.0,
+                               "alpha": 0.5}, id="sweep-b-squared-second-point"),
     ],
 )
 def test_rabi_overflow_is_validation_error(tmp_path, kind, scenario):
@@ -364,9 +377,21 @@ def test_rabi_overflow_is_validation_error(tmp_path, kind, scenario):
     out = tmp_path / "out"
     assert run_cli(kind, scen, out) == 2
     assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
-    for path in out.iterdir():
-        text = path.read_text()
-        assert "Infinity" not in text and "NaN" not in text, path.name
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    text = (out / "error.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+
+
+def test_bloch_non_finite_step_is_step_too_large(tmp_path):
+    scen = write_scenario(
+        tmp_path,
+        {"kind": "bloch", "field": [0, 0, 1e200], "n0": [1, 0, 0],
+         "time": {"stop": 1.0, "step": 0.1}},
+    )
+    out = tmp_path / "out"
+    assert run_cli("bloch", scen, out) == 3
+    assert json.loads((out / "error.json").read_text())["error"] == "StepTooLargeError"
+    assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 REPORTS = {
@@ -399,6 +424,16 @@ def test_each_kind_writes_its_report(tmp_path, kind):
     assert run_cli(kind.replace("_", "-"), scen, out) == 0
     assert isinstance(json.loads((out / report).read_text()), dict)
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(REPORTS))
+def test_each_handler_returns_its_files_and_writes_none(tmp_path, monkeypatch, kind):
+    scenario, report = REPORTS[kind]
+    monkeypatch.chdir(tmp_path)
+    files = cli._HANDLERS[kind]({"kind": kind, **scenario}, 1e-10, None)
+    assert report in files
+    assert all(isinstance(name, str) and Path(name).name == name for name in files)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_grassmann_failure_keeps_its_report(tmp_path, monkeypatch):
@@ -454,18 +489,29 @@ def test_emit_single_point_trajectory(tmp_path):
     assert t[0] == 0.0 and states[0, 0] == 0.1 + 0.2j and norms["eta"][0] == 0.5
 
 
+def test_emit_refuses_non_finite_trajectory(tmp_path):
+    traj = Trajectory(
+        times=[0.0, 1.0],
+        states=np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
+        norms={"canonical": np.array([1.0, np.nan])},
+    )
+    with pytest.raises(ValidationError):
+        emit_trajectory(traj, tmp_path / "nan.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_trajectory_round_trip_is_bit_identical(tmp_path):
     times = np.linspace(0.0, 1.0, 17)
     states = RNG.standard_normal((17, 3)) + 1j * RNG.standard_normal((17, 3))
     norms = {"canonical": RNG.uniform(0.5, 2.0, 17), "eta": RNG.uniform(0.5, 2.0, 17)}
     traj = Trajectory(times=times, states=states, norms=norms)
-    path = tmp_path / "traj.csv"
-    emit_trajectory(traj, path)
-    t, s, n = read_trajectory(path)
-    assert np.array_equal(t, times)
-    assert np.array_equal(s, states)
-    assert np.array_equal(n["canonical"], norms["canonical"])
-    assert np.array_equal(n["eta"], norms["eta"])
+    for path in (tmp_path / "traj.csv", tmp_path / "traj.json"):  # CSV whatever the suffix
+        emit_trajectory(traj, path)
+        t, s, n = read_trajectory(path)
+        assert np.array_equal(t, times)
+        assert np.array_equal(s, states)
+        assert np.array_equal(n["canonical"], norms["canonical"])
+        assert np.array_equal(n["eta"], norms["eta"])
 
 
 def test_empty_trajectory_round_trip(tmp_path):

@@ -280,11 +280,15 @@ def test_integrate_step_too_large():
     t = np.linspace(0.0, 1.0, 3)
     with pytest.raises(StepTooLargeError):
         integrate(lambda _t, n: 5.0 * n, [1, 0, 0], t)
+    with pytest.raises(StepTooLargeError):  # a NaN drift is not below the threshold
+        integrate(lambda _t, n: np.full(3, np.nan), [1, 0, 0], t)
 
 
 def test_integrate_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         integrate(lambda _t, n: n, [2, 0, 0], np.linspace(0, 1, 5))
+    with pytest.raises(ValidationError):
+        integrate(lambda _t, n: n, [np.nan, 0, 0], np.linspace(0, 1, 5))
     with pytest.raises(ValidationError):
         integrate(lambda _t, n: n, [1, 0, 0], np.array([0.0, 0.1, 0.3]))
 

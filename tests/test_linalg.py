@@ -17,7 +17,7 @@ from pseudospin import (
     principal_sqrt,
     spectrum,
 )
-from pseudospin.exceptions import InvalidMetricError, NonTracelessError
+from pseudospin.exceptions import InvalidMetricError, NonTracelessError, ValidationError
 
 from helpers import random_complex_orthogonal, random_traceless, random_state, taylor_expm
 
@@ -233,6 +233,11 @@ def test_field_square_examples():
     assert field_square([v, 0, 1j * a]) == pytest.approx(v**2 - a**2)
     assert field_square([0, 0, 0]) == 0.0
     assert field_square([1, 0, 2j]) == pytest.approx(-3.0)
+    for overflowing in ([1e155, 0, 1e155j], [1e200, 0, 0]):  # nan and inf squares
+        with pytest.raises(ValidationError):
+            field_square(overflowing)
+        with pytest.raises(ValidationError):
+            spectrum(hamiltonian_from_field(overflowing))
 
 
 def test_field_square_rotation_invariance():
