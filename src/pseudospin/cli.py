@@ -465,7 +465,9 @@ def run(kind: str, scenario_path, out_dir, tol: float = 1e-10, step=None) -> int
         if declared is not None and declared != kind:
             raise ValidationError(f"scenario kind {declared!r} does not match command {kind!r}")
         try:
-            _write(out, _HANDLERS[kind](scenario, tol, step))  # sweep records are computed here
+            # numpy stays quiet on overflow: a check refuses every non-finite result (exit 2 or 3)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _write(out, _HANDLERS[kind](scenario, tol, step))  # sweep records computed here
         except OverflowError as exc:  # Python float arithmetic past 1.8e308, e.g. b**2
             raise ValidationError(f"arithmetic overflow: {exc}") from exc
     except PseudospinError as exc:

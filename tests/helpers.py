@@ -48,3 +48,39 @@ def taylor_expm(m: np.ndarray, terms: int = 20) -> np.ndarray:
         acc = acc @ m / k
         out = out + acc
     return out
+
+
+def reference_rhs(model: str, field, alpha: float = 0.0, a: float = 0.0, polarization=None):
+    """The bloch right-hand sides as first written, on np.cross, for bit-identity checks."""
+    if model == "damped":
+        f = np.asarray(field, dtype=complex)
+        return lambda _t, n: -np.cross(n, f.real) - np.cross(n, np.cross(n, f.imag))
+    b = np.asarray(field, dtype=float)
+    scale = 1.0 + alpha**2
+
+    def llg(_t, n):
+        return -np.cross(n, b) / scale - alpha * np.cross(n, np.cross(n, b)) / scale
+
+    if model == "llg":
+        return llg
+    p = np.asarray(polarization, dtype=float)
+    return lambda t, n: llg(t, n) + a * np.cross(n, np.cross(n, p))
+
+
+def reference_rk4(rhs, n0, t, renormalize: bool = False):
+    """Fixed-step RK4 as first written, on np.linalg.norm: (states, raw norms, projected norms)."""
+    h = t[1] - t[0]
+    n = np.asarray(n0, dtype=float).copy()
+    states, raw, projected = [n], [np.linalg.norm(n)], [np.linalg.norm(n)]
+    for tk in t[:-1]:
+        k1 = rhs(tk, n)
+        k2 = rhs(tk + 0.5 * h, n + 0.5 * h * k1)
+        k3 = rhs(tk + 0.5 * h, n + 0.5 * h * k2)
+        k4 = rhs(tk + h, n + h * k3)
+        n = n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        raw.append(np.linalg.norm(n))
+        if renormalize:
+            n = n / raw[-1]
+        projected.append(np.linalg.norm(n))
+        states.append(n)
+    return np.array(states), np.array(raw), np.array(projected)

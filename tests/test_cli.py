@@ -560,18 +560,40 @@ def test_step_override_flag(tmp_path):
     assert len(t) == 5
 
 
-def test_console_entry_point(tmp_path):
-    scen = write_scenario(tmp_path, {"kind": "suppress", "b_z": 1.0, "omega": 2.0, "alpha": 0.5})
+def run_console(command, scenario_path, out_dir):
+    """Run the CLI in a child process, which shows warnings the way a user sees them."""
     # the child process must import the same package as this one, installed or not
     package_root = str(Path(pseudospin.__file__).resolve().parents[1])
     paths = [package_root, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "pseudospin.cli", "suppress", "--scenario", str(scen),
-         "--out", str(tmp_path / "out")],
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run(
+        [sys.executable, "-m", "pseudospin.cli", command, "--scenario", str(scenario_path),
+         "--out", str(out_dir)],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_console_entry_point(tmp_path):
+    scen = write_scenario(tmp_path, {"kind": "suppress", "b_z": 1.0, "omega": 2.0, "alpha": 0.5})
+    proc = run_console("suppress", scen, tmp_path / "out")
     assert proc.returncode == 0
     assert (tmp_path / "out" / "suppress.json").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, scenario, code, message",
+    [
+        ("check", {"field": [1e200, 0, 0]}, 2, "field square inf+0j is not finite"),
+        ("bloch", {"field": [0, 0, 1e200], "n0": [1, 0, 0], "time": {"stop": 1.0, "step": 0.1}},
+         3, "norm drifted by nan in one step at t=0; reduce the step"),
+    ],
+)
+def test_overflow_prints_only_the_error_line(tmp_path, kind, scenario, code, message):
+    scen = write_scenario(tmp_path, {"kind": kind, **scenario})
+    proc = run_console(kind, scen, tmp_path / "out")
+    assert proc.returncode == code
+    assert proc.stderr == f"error: {message}\n"
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["error.json"]

@@ -88,7 +88,7 @@ def _assert_finite(path: Path) -> None:
         assert np.isfinite(np.array(rows, dtype=float)).all(), path.name
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
 def test_cli_exit_codes_and_files(case):

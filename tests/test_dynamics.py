@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pseudospin import IDENTITY2, SIGMA, hamiltonian_from_field, inner
 from pseudospin.dynamics import (
     Trajectory,
+    _cross,
     bloch_canonical,
     bloch_eta,
     correspondence_residual,
@@ -21,7 +23,7 @@ from pseudospin.exceptions import StepTooLargeError, ValidationError, ZeroStateE
 from pseudospin.linalg import validate_metric
 from pseudospin.metric import build_isometry
 
-from helpers import plane_rotation, random_state
+from helpers import plane_rotation, random_state, reference_rhs, reference_rk4
 
 RNG = np.random.default_rng(42)
 
@@ -231,6 +233,45 @@ def test_spin_torque_validates_polarization():
         rhs_llg_spin_torque([0, 0, 1], [0, 0, 1], 0.1, 0.1, [0, 0, 2])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spin_torque_rejects_non_finite_polarization(bad):
+    # abs(|P| - 1) > tol is False for a NaN norm; the guard must still refuse it
+    with pytest.raises(ValidationError):
+        rhs_llg_spin_torque([1, 0, 0], [0, 0, 1], 0.1, 0.05, [bad, 0, 0])
+
+
+CROSS_SHAPES = [((3,), (3,)), ((5, 3), (5, 3)), ((4, 3), (3,)), ((3,), (2, 3)), ((2, 1, 3), (4, 3))]
+
+
+@st.composite
+def cross_pairs(draw):
+    """Two arrays of 3-vectors, real or complex, 1-D or stacked or broadcasting."""
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    specials = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 5e-324])
+    real = st.floats() | specials
+    elements = real if dtype is np.float64 else st.builds(complex, real, real)
+    shape_u, shape_v = draw(st.sampled_from(CROSS_SHAPES))
+    return (draw(hnp.arrays(dtype, shape_u, elements=elements)),
+            draw(hnp.arrays(dtype, shape_v, elements=elements)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cross_pairs())
+def test_cross_is_numpy_cross_bit_for_bit(pair):
+    u, v = pair
+    with np.errstate(all="ignore"):
+        got, want = _cross(u, v), np.cross(u, v)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
+def test_cross_rejects_non_3_vectors():
+    with pytest.raises(ValueError):
+        _cross(np.ones((4, 2)), np.ones(3))
+
+
 # ---------------------------------------------------------------- integrator
 
 
@@ -290,7 +331,82 @@ def test_integrate_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         integrate(lambda _t, n: n, [np.nan, 0, 0], np.linspace(0, 1, 5))
     with pytest.raises(ValidationError):
+        integrate(lambda _t, n: n, [[1, 0, 0]], np.linspace(0, 1, 5))
+    with pytest.raises(ValidationError):
         integrate(lambda _t, n: n, [1, 0, 0], np.array([0.0, 0.1, 0.3]))
+
+
+def _bloch_model(model, b, im, alpha, a, p):
+    """(integrate right-hand side, constant complex field F_eq) of one bloch model.
+
+    Each model is damped precession under F_eq: F for damped, b / (1 - i alpha)
+    for the Gilbert form, and that minus i a P with the spin-transfer torque.
+    """
+    if model == "damped":
+        f = b + 1j * im
+        return (lambda _t, n: rhs_damped_precession(n, f)), f
+    gilbert = b / (1.0 - 1j * alpha)
+    if model == "llg":
+        return (lambda _t, n: rhs_llg(n, b, alpha)), gilbert
+    return (lambda _t, n: rhs_llg_spin_torque(n, b, alpha, a, p)), gilbert - 1j * a * p
+
+
+PINNED_B, PINNED_IM = np.array([0.3, -0.7, 1.1]), np.array([0.2, 0.1, -0.3])
+PINNED_P = np.array([0.6, 0.0, 0.8])
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("model", ["damped", "llg", "llg_spin_valve"])
+def test_integrate_is_bit_identical_to_reference_rk4(model, renormalize):
+    alpha, a = 0.15, 0.07
+    rhs, _ = _bloch_model(model, PINNED_B, PINNED_IM, alpha, a, PINNED_P)
+    field = PINNED_B + 1j * PINNED_IM if model == "damped" else PINNED_B
+    reference = reference_rhs(model, field, alpha, a, PINNED_P)
+    n0, t = np.array([0.48, 0.6, 0.64]), np.linspace(0.0, 4.0, 201)
+    traj = integrate(rhs, n0, t, renormalize=renormalize)
+    states, raw, projected = reference_rk4(reference, n0, t, renormalize)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.norms["raw"], raw)
+    assert np.array_equal(traj.norms["projected"], projected)
+
+
+def _unit(theta, phi):
+    return np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+
+
+ANGLES = st.floats(0.0, np.pi)
+AZIMUTHS = st.floats(0.0, 2.0 * np.pi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    model=st.sampled_from(["damped", "llg", "llg_spin_valve"]),
+    b=st.builds(lambda r, th, ph: r * _unit(th, ph), st.floats(0.5, 1.5), ANGLES, AZIMUTHS),
+    im=hnp.arrays(np.float64, 3, elements=st.floats(-0.5, 0.5)),
+    alpha=st.floats(0.05, 0.5),
+    a=st.floats(0.05, 0.5) | st.floats(-0.5, -0.05),
+    p=st.builds(_unit, ANGLES, AZIMUTHS),
+    theta=ANGLES,
+    phi=AZIMUTHS,
+    renormalize=st.booleans(),
+)
+def test_integrate_is_fourth_order_against_exact_trajectory(
+    model, b, im, alpha, a, p, theta, phi, renormalize
+):
+    # the canonical Bloch vector of exp(-i F_eq.sigma t / 2) psi(n0) solves the
+    # damped precession under F_eq exactly (the paper's classical correspondence)
+    rhs, f_eq = _bloch_model(model, b, im, alpha, a, p)
+    psi0 = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    h_eq = hamiltonian_from_field(f_eq)
+    errors = []
+    for h in (0.1, 0.05):
+        t = np.linspace(0.0, 4.0, round(4.0 / h) + 1)
+        exact = bloch_canonical(evolve_state(h_eq, psi0, t))
+        traj = integrate(rhs, _unit(theta, phi), t, renormalize=renormalize)
+        errors.append(np.max(np.abs(traj.states - exact)))
+    assert errors[0] <= 0.1**4  # C h^4 with C = 1; C reaches about 0.3
+    if errors[0] > 1e-9:  # below this the start sits on a fixed point and the ratio is noise
+        assert 12.0 <= errors[0] / errors[1] <= 20.0
 
 
 def test_trajectory_requires_increasing_times():
