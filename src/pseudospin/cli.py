@@ -13,7 +13,6 @@ suite).  Identical scenarios produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -127,14 +126,18 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# built once: json.dumps would construct an encoder per report and per sweep record
+_JSON_REPORT = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False, indent=2)
+_JSON_RECORD = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False)
+
+
 def _encode(name: str, content) -> str:
     """File text by suffix: .json, .jsonl (iterable of records), else (header, columns) as CSV."""
-    dump = functools.partial(json.dumps, default=_json_default, sort_keys=True, allow_nan=False)
     try:
         if name.endswith(".json"):
-            return dump(content, indent=2) + "\n"
+            return _JSON_REPORT.encode(content) + "\n"
         if name.endswith(".jsonl"):
-            return "".join(dump(record) + "\n" for record in content)
+            return "".join(_JSON_RECORD.encode(record) + "\n" for record in content)
     except ValueError as exc:  # allow_nan=False: Infinity and NaN are not JSON
         raise ValidationError(f"result is not finite: {exc}") from exc
     header, columns = content
@@ -303,6 +306,7 @@ def _run_bloch(scenario, tol, step):
         rhs = lambda t, n: rhs_llg_spin_torque(n, field, alpha, torque, pol)
     else:
         raise ValidationError(f"unknown bloch model {model!r}")
+    field_square(field)  # a field whose square overflows exits 2, as in check, metric and evolve
     traj = integrate(rhs, n0, grid, renormalize=renormalize)
     payload = {
         "model": model,

@@ -59,7 +59,8 @@ def field_square(field) -> complex:
     a non-finite number is a ValidationError.
     """
     f = as_field(field)
-    sq = complex(np.sum(f * f))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below when not finite
+        sq = complex(np.sum(f * f))
     if not cmath.isfinite(sq):
         raise ValidationError(f"field square {sq:.6g} is not finite")
     return sq
@@ -111,9 +112,10 @@ def spectrum(op, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
     The principal branch makes E+ the root with Re >= 0; E- = -E+ always.
     """
     h = as_operator(op)
-    _require_traceless(h, tol)
-    _, f = pauli_decompose(h)
-    e_plus = 0.5 * principal_sqrt(field_square(2.0 * f))
+    with np.errstate(over="ignore", invalid="ignore"):  # field_square refuses a non-finite square
+        _require_traceless(h, tol)
+        _, f = pauli_decompose(h)
+        e_plus = 0.5 * principal_sqrt(field_square(2.0 * f))
     return e_plus, -e_plus
 
 

@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pseudospin.exceptions import NonHomogeneousError, ValidationError
 from pseudospin.grassmann import (
@@ -31,12 +33,20 @@ from pseudospin.grassmann import (
 from pseudospin.linalg import IDENTITY2, SIGMA, SIGMA1, SIGMA2, SIGMA3, hamiltonian_from_field
 from pseudospin.metric import build_isometry, canonical_rotation
 
-from helpers import random_complex_orthogonal
+from helpers import (
+    random_complex_orthogonal,
+    reference_left_derivative,
+    reference_product,
+    reference_quantize,
+    reference_right_derivative,
+    reference_suite,
+)
 
 RNG = np.random.default_rng(3)
 
 XI = [generator(i) for i in range(1, 4)]
 COEFF_VALUES = (0.0, 1.0, 1j)
+ODD_MASKS = np.array([bin(m).count("1") % 2 == 1 for m in range(8)])
 
 
 def dist(f, g):
@@ -491,3 +501,95 @@ def test_top_monomial_self_pair_is_the_hbar_squared_exception():
     rep = verify_correspondence(top, top)
     assert not rep.exact
     assert np.allclose(rep.commutator_image, 0.25j * IDENTITY2, atol=1e-15)
+
+
+def test_every_suite_pair_takes_the_one_verify_path():
+    # verify_correspondence on one pair is the suite's batched verifier at N = 1
+    field = [0.7, -1.1, 0.4]
+    suite = correspondence_suite(field)
+    h = precession_hamiltonian(field)
+    mono = [GrassmannElement(row) for row in np.eye(8)]
+    pairs = (
+        [(XI[e["i"] - 1], XI[e["j"] - 1], e) for e in suite["generator_pairs"]]
+        + [(h, XI[e["i"] - 1], e) for e in suite["hamiltonian_pairs"]]
+        + [(mono[e["a"]], mono[e["b"]], e) for e in suite["basis_pairs"]]
+    )
+    assert len(pairs) == 76
+    for f, g, entry in pairs:
+        rep = verify_correspondence(f, g)
+        assert rep.exact is entry["exact"]
+        assert rep.residual.hex() == entry["residual"].hex()
+
+
+def test_batched_verify_rejects_mixed_parity():
+    mixed = GrassmannElement.one() + XI[0]
+    with pytest.raises(NonHomogeneousError):
+        verify_correspondence(mixed, XI[1])
+    with pytest.raises(NonHomogeneousError):
+        verify_correspondence(np.stack([XI[0].coeffs, mixed.coeffs]), XI[1].coeffs)
+
+
+# ------------------------------------------------------ loop reference pin
+
+EPS = np.finfo(float).eps
+TINY = 8 * np.finfo(float).smallest_subnormal  # rounding of products that underflow
+EDGE_COMPONENTS = st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e150, 5e-324, -2.5e-310])
+SCALED_COMPONENTS = st.builds(lambda m, k: m * 10.0**k, st.floats(-10.0, 10.0), st.integers(-8, 8))
+FIELDS = st.lists(st.one_of(SCALED_COMPONENTS, EDGE_COMPONENTS), min_size=3, max_size=3)
+GAUSSIAN = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=8, max_size=8).map(
+    lambda pairs: np.array([complex(re, im) for re, im in pairs])
+)
+DENSE = hnp.arrays(
+    np.complex128, 8, elements=st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=FIELDS)
+def test_suite_matches_loop_reference_bit_for_bit(field):
+    suite, pinned = correspondence_suite(field), reference_suite(field)
+    for group in ("generator_pairs", "hamiltonian_pairs", "basis_pairs"):
+        for entry, ref in zip(suite[group], pinned[group], strict=True):
+            assert entry["exact"] is ref["exact"]
+            assert entry["residual"].hex() == ref["residual"].hex()
+    # the whole report, as grassmann-verify writes it
+    assert json.dumps(suite, sort_keys=True) == json.dumps(pinned, sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=GAUSSIAN, g=GAUSSIAN, i=st.integers(1, 3))
+def test_kernels_equal_loop_reference_on_gaussian_integers(f, g, i):
+    e = GrassmannElement(f)
+    assert np.array_equal(product(e, GrassmannElement(g)).coeffs, reference_product(f, g))
+    assert np.array_equal(right_derivative(e, i).coeffs, reference_right_derivative(f, i))
+    assert np.array_equal(left_derivative(e, i).coeffs, reference_left_derivative(f, i))
+    even = np.where(ODD_MASKS, 0, f)  # even images are dyadic, so their sums are exact
+    assert np.array_equal(quantize(GrassmannElement(even)), reference_quantize(even))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=DENSE, g=DENSE, i=st.integers(1, 3))
+def test_kernels_match_loop_reference_within_ulps(f, g, i):
+    # term order and fused multiply-adds move the last bits only
+    e = GrassmannElement(f)
+    bound = 2 * EPS * np.abs(f).sum() * np.abs(g).sum() + TINY
+    assert np.max(np.abs(product(e, GrassmannElement(g)).coeffs - reference_product(f, g))) <= bound
+    assert np.max(np.abs(quantize(e) - reference_quantize(f))) <= 2 * EPS * np.abs(f).sum() + TINY
+    assert np.array_equal(right_derivative(e, i).coeffs, reference_right_derivative(f, i))
+    assert np.array_equal(left_derivative(e, i).coeffs, reference_left_derivative(f, i))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), pf=st.integers(0, 1), pg=st.integers(0, 1))
+def test_coefficient_stacks_match_elements(data, pf, pg):
+    fs = data.draw(st.lists(gaussian_integer_homogeneous(pf), min_size=1, max_size=6))
+    gs = data.draw(st.lists(gaussian_integer_homogeneous(pg), min_size=len(fs), max_size=len(fs)))
+    f_stack, g_stack = np.array([f.coeffs for f in fs]), np.array([g.coeffs for g in gs])
+    brackets, images = dirac_bracket(f_stack, g_stack), quantize(f_stack)
+    rep = verify_correspondence(f_stack, g_stack)
+    for k, (f, g) in enumerate(zip(fs, gs)):
+        assert np.array_equal(brackets[k], dirac_bracket(f, g).coeffs)
+        assert np.array_equal(images[k], quantize(f))
+        single = verify_correspondence(f, g)
+        assert (rep.exact[k], rep.residual[k]) == (single.exact, single.residual)
+        assert np.array_equal(rep.commutator_image[k], single.commutator_image)
