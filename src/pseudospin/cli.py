@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (
+from .dynamics import (  # rhs_* stay importable from cli: perfbench traces and tests them here
     Trajectory,
+    bloch_model,
     evolve_trajectory,
     integrate,
     rhs_damped_precession,
@@ -129,6 +130,7 @@ def _json_default(obj):
 # built once: json.dumps would construct an encoder per report and per sweep record
 _JSON_REPORT = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False, indent=2)
 _JSON_RECORD = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False)
+_CSV_BLOCK = 4096  # CSV rows per format call: bounds the Python floats alive at once
 
 
 def _encode(name: str, content) -> str:
@@ -144,8 +146,10 @@ def _encode(name: str, content) -> str:
     table = np.column_stack(columns)
     if not np.isfinite(table).all():
         raise ValidationError(f"result is not finite: {name} has a non-finite entry")
+    # one format call per block of rows: %.17g gives the same bytes for a float and an np.float64
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return header + "\n" + "".join(row % tuple(values) for values in table)
+    blocks = (table[i : i + _CSV_BLOCK] for i in range(0, len(table), _CSV_BLOCK))
+    return header + "\n" + "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
 def _write(out: Path, files: dict) -> None:
@@ -291,23 +295,22 @@ def _run_bloch(scenario, tol, step):
     n0 = _parse_vector(_require(scenario, "n0"), "n0", 3, _parse_real)
     grid = _parse_time_grid(_require(scenario, "time"), step)
     renormalize = bool(scenario.get("renormalize", False))
+    params = {}
     if model in ("damped", "precession"):
         field = _parse_vector(_require(scenario, "field"), "field", 3)
-        rhs = lambda t, n: rhs_damped_precession(n, field)
-    elif model == "llg":
+    elif model in ("llg", "llg_spin_valve"):
         field = _parse_vector(_require(scenario, "field"), "field", 3).real
-        alpha = _parse_real(_require(scenario, "alpha"), "alpha")
-        rhs = lambda t, n: rhs_llg(n, field, alpha)
-    elif model == "llg_spin_valve":
-        field = _parse_vector(_require(scenario, "field"), "field", 3).real
-        alpha = _parse_real(_require(scenario, "alpha"), "alpha")
-        torque = _parse_real(_require(scenario, "a"), "a")
-        pol = _parse_vector(_require(scenario, "polarization"), "polarization", 3, _parse_real)
-        rhs = lambda t, n: rhs_llg_spin_torque(n, field, alpha, torque, pol)
+        params["alpha"] = _parse_real(_require(scenario, "alpha"), "alpha")
+        if model == "llg_spin_valve":
+            params["a"] = _parse_real(_require(scenario, "a"), "a")
+            params["polarization"] = _parse_vector(
+                _require(scenario, "polarization"), "polarization", 3, _parse_real
+            )
     else:
         raise ValidationError(f"unknown bloch model {model!r}")
     field_square(field)  # a field whose square overflows exits 2, as in check, metric and evolve
-    traj = integrate(rhs, n0, grid, renormalize=renormalize)
+    rate, _ = bloch_model(model, field, **params)
+    traj = integrate(rate, n0, grid, renormalize=renormalize)
     payload = {
         "model": model,
         "samples": len(traj),

@@ -11,6 +11,7 @@ together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,32 +81,89 @@ def bloch_eta(psi, eta, observables: str = "bare", isometry=None) -> np.ndarray:
     return np.stack(n, axis=-1) / nrm2
 
 
+def _cross3(u, v) -> tuple:
+    """u x v on component triples: three Python floats, or three component arrays that broadcast.
+
+    The same three products and differences as numpy.cross, in the same
+    order, so the result is bit for bit numpy.cross on either kind.
+    """
+    u1, u2, u3 = u
+    v1, v2, v3 = v
+    return (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+
+
 def _cross(u, v) -> np.ndarray:
     """u x v over the last axis, for 3-vectors or broadcasting stacks (..., 3).
 
-    Bit for bit numpy.cross: the same three products and differences, in
-    the same order.  numpy.cross spends tens of microseconds on argument
-    handling per call, and an RK4 step makes 12 to 20 calls on single real
-    vectors, so those are crossed on Python floats.
+    Bit for bit numpy.cross, which spends tens of microseconds on argument
+    handling per call.  A pair of real 3-vectors is crossed on Python
+    floats, anything else on its columns.
     """
     u = np.asarray(u)
     v = np.asarray(v)
     if u.shape == v.shape == (3,) and u.dtype == v.dtype == np.float64:
-        u1, u2, u3 = u.tolist()
-        v1, v2, v3 = v.tolist()
-        return np.array((u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1))
-    if u.shape[-1:] != (3,) or v.shape[-1:] != (3,):
-        raise ValueError(f"cross product needs 3-vectors, got shapes {u.shape} and {v.shape}")
-    u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
-    v1, v2, v3 = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack((u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1), axis=-1)
+        return np.array(_cross3(u.tolist(), v.tolist()))
+    return np.stack(_cross3(_columns(u), _columns(v)), axis=-1)
+
+
+def _columns(x: np.ndarray) -> tuple:
+    if x.shape[-1:] != (3,):
+        raise ValueError(f"cross product needs 3-vectors, got shape {x.shape}")
+    return x[..., 0], x[..., 1], x[..., 2]
+
+
+def _components(x) -> tuple | list:
+    """A real (3,) vector as three Python floats, a stack (..., 3) as its three columns."""
+    x = np.asarray(x, dtype=float)
+    return x.tolist() if x.shape == (3,) else _columns(x)
+
+
+def _join(c: tuple) -> np.ndarray:
+    """Three floats as a (3,) vector, three component arrays as a (..., 3) stack."""
+    return np.stack(c, axis=-1) if isinstance(c[0], np.ndarray) else np.array(c)
+
+
+# Rates of the bloch models on component triples n, one formula each: the
+# public rhs_* below and the integrator's bloch_model both evaluate these.
+
+
+def _damped3(n, fr, fi) -> tuple:
+    """-n x Re(F) - n x (n x Im(F))."""
+    c1, c2, c3 = _cross3(n, fr)
+    d1, d2, d3 = _cross3(n, _cross3(n, fi))
+    return (-c1 - d1, -c2 - d2, -c3 - d3)
+
+
+def _gilbert3(n, b, alpha) -> tuple:
+    """-(n x b) / (1 + alpha^2) - alpha n x (n x b) / (1 + alpha^2)."""
+    scale = 1.0 + alpha**2
+    c1, c2, c3 = _cross3(n, b)
+    d1, d2, d3 = _cross3(n, _cross3(n, b))
+    return (
+        (-c1) / scale - (alpha * d1) / scale,
+        (-c2) / scale - (alpha * d2) / scale,
+        (-c3) / scale - (alpha * d3) / scale,
+    )
+
+
+def _spin_torque3(n, b, alpha, a, p) -> tuple:
+    """The Gilbert rate plus the spin-transfer torque a n x (n x P)."""
+    g1, g2, g3 = _gilbert3(n, b, alpha)
+    e1, e2, e3 = _cross3(n, _cross3(n, p))
+    return (g1 + a * e1, g2 + a * e2, g3 + a * e3)
+
+
+def _unit_polarization(polarization) -> np.ndarray:
+    p = np.asarray(polarization, dtype=float)
+    if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
+        raise ValidationError("polarization direction must be a unit vector")
+    return p
 
 
 def rhs_damped_precession(n, field) -> np.ndarray:
     """n' = -n x Re(F) - n x (n x Im(F)) for a real unit vector n (or a stack (..., 3))."""
-    nv = np.asarray(n, dtype=float)
     f = as_field(field)
-    return -_cross(nv, f.real) - _cross(nv, _cross(nv, f.imag))
+    return _join(_damped3(_components(n), f.real.tolist(), f.imag.tolist()))
 
 
 def effective_field(n, field) -> np.ndarray:
@@ -117,19 +175,38 @@ def effective_field(n, field) -> np.ndarray:
 
 def rhs_llg(n, real_field, alpha: float) -> np.ndarray:
     """Gilbert-damped precession for a real field and damping parameter alpha."""
-    nv = np.asarray(n, dtype=float)
-    b = np.asarray(real_field, dtype=float)
-    scale = 1.0 + alpha**2
-    return -_cross(nv, b) / scale - alpha * _cross(nv, _cross(nv, b)) / scale
+    return _join(_gilbert3(_components(n), _components(real_field), alpha))
 
 
 def rhs_llg_spin_torque(n, real_field, alpha: float, a: float, polarization) -> np.ndarray:
     """Gilbert form plus the spin-transfer torque a * n x (n x P), |P| = 1."""
-    p = np.asarray(polarization, dtype=float)
-    if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
-        raise ValidationError("polarization direction must be a unit vector")
-    nv = np.asarray(n, dtype=float)
-    return rhs_llg(nv, real_field, alpha) + a * _cross(nv, _cross(nv, p))
+    p = _components(_unit_polarization(polarization))
+    return _join(_spin_torque3(_components(n), _components(real_field), alpha, a, p))
+
+
+def bloch_model(model: str, field, alpha: float = 0.0, a: float = 0.0, polarization=None):
+    """(rate, F_eq) of one bloch model.
+
+    rate(t, n) takes n as three floats and returns its three components,
+    for integrate.  F_eq is the constant complex field under which the
+    model is damped precession: the field F itself for "damped" (alias
+    "precession"), b / (1 - i alpha) for the Gilbert form "llg" with real
+    field b, and that minus i a P for "llg_spin_valve".
+    """
+    if model in ("damped", "precession"):
+        f = as_field(field)
+        fr, fi = f.real.tolist(), f.imag.tolist()
+        return (lambda _t, n: _damped3(n, fr, fi)), f
+    b = np.asarray(field, dtype=float).reshape(3)
+    gilbert = b / (1.0 - 1j * alpha)
+    bl = b.tolist()
+    if model == "llg":
+        return (lambda _t, n: _gilbert3(n, bl, alpha)), gilbert
+    if model == "llg_spin_valve":
+        p = _unit_polarization(polarization).reshape(3)
+        pl = p.tolist()
+        return (lambda _t, n: _spin_torque3(n, bl, alpha, a, pl)), gilbert - 1j * a * p
+    raise ValidationError(f"unknown bloch model {model!r}")
 
 
 @dataclass
@@ -166,6 +243,14 @@ def _uniform_step(t_grid: np.ndarray) -> float:
 def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
     """Classical fixed-step RK4 on n' = rhs(t, n).
 
+    rhs receives n as a tuple of three floats and returns its three real
+    components (any 3-sequence, an ndarray included); bloch_model builds
+    such rates.  The state is stepped on Python floats, with the stage
+    arithmetic of the array form n + (h/2) k.  Norms are sqrt(v.dot(v))
+    of the state as a length-3 array, which is what np.linalg.norm
+    computes; BLAS may fuse multiply-adds there, so x*x + y*y + z*z would
+    differ in the last bit.
+
     With renormalize the state is projected back to the unit sphere after
     every step.  Raw (pre-projection) and projected norms are both recorded.
     A single-step norm drift above 0.01, or a non-finite norm, aborts with
@@ -179,33 +264,39 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
     if not abs(np.sqrt(n @ n) - 1.0) <= 1e-9:
         raise ValidationError("initial Bloch vector must be unit length")
 
-    states = np.empty((len(t), 3), dtype=float)
-    raw = np.empty(len(t))
-    projected = np.empty(len(t))
-    states[0] = n
-    raw[0] = projected[0] = np.sqrt(n @ n)
+    x, y, z = n.tolist()
+    norm = math.sqrt(n.dot(n))
+    states, raw, projected = [(x, y, z)], [norm], [norm]
+    half, sixth = 0.5 * h, h / 6.0
+    times = t.tolist()
     for k in range(len(t) - 1):
-        tk = t[k]
-        k1 = rhs(tk, n)
-        k2 = rhs(tk + 0.5 * h, n + 0.5 * h * k1)
-        k3 = rhs(tk + 0.5 * h, n + 0.5 * h * k2)
-        k4 = rhs(tk + h, n + h * k3)
-        n_new = n + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        raw[k + 1] = projected[k + 1] = np.sqrt(n_new @ n_new)
-        drift = abs(raw[k + 1] - projected[k])
+        tk = times[k]
+        a1, a2, a3 = rhs(tk, (x, y, z))
+        b1, b2, b3 = rhs(tk + half, (x + half * a1, y + half * a2, z + half * a3))
+        c1, c2, c3 = rhs(tk + half, (x + half * b1, y + half * b2, z + half * b3))
+        d1, d2, d3 = rhs(tk + h, (x + h * c1, y + h * c2, z + h * c3))
+        x = x + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+        y = y + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+        z = z + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+        v = np.array((x, y, z))
+        raw_norm = math.sqrt(v.dot(v))
+        drift = abs(raw_norm - norm)
         if not drift <= 0.01:  # NaN fails this test too
             raise StepTooLargeError(
                 f"norm drifted by {drift:.3g} in one step at t={tk:.6g}; reduce the step"
             )
+        norm = raw_norm
         if renormalize:
-            n_new = n_new / raw[k + 1]
-            projected[k + 1] = np.sqrt(n_new @ n_new)
-        states[k + 1] = n_new
-        n = n_new
+            x, y, z = x / raw_norm, y / raw_norm, z / raw_norm
+            v = np.array((x, y, z))
+            norm = math.sqrt(v.dot(v))
+        states.append((x, y, z))
+        raw.append(raw_norm)
+        projected.append(norm)
     return Trajectory(
         times=t,
-        states=states,
-        norms={"raw": raw, "projected": projected},
+        states=np.array(states, dtype=float),
+        norms={"raw": np.array(raw), "projected": np.array(projected)},
         metadata={"method": "rk4", "step": h, "renormalize": bool(renormalize)},
     )
 

@@ -231,7 +231,12 @@ def substitute(f: GrassmannElement, matrix) -> GrassmannElement:
 
 def _require_orthogonal(rotation, tol: float = 1e-10) -> np.ndarray:
     r = np.asarray(rotation, dtype=complex).reshape(3, 3)
-    if np.linalg.norm(r @ r.T - np.eye(3)) > tol * max(1.0, np.linalg.norm(r) ** 2):
+    if not np.isfinite(r).all():
+        raise ValidationError("matrix is not complex-orthogonal: it has a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):  # entries past 1e154 overflow r r^T
+        residual = np.linalg.norm(r @ r.T - np.eye(3))
+        bound = tol * max(1.0, np.linalg.norm(r) ** 2)
+    if not residual <= bound < np.inf:  # a NaN residual or an overflowed bound fails too
         raise ValidationError("matrix is not complex-orthogonal")
     return r
 

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import pseudospin
 from pseudospin import cli
@@ -349,6 +352,10 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
         pytest.param("bloch", {"model": "llg", "alpha": 0.1, "field": [1e200, 0, 0],
                                "n0": [1, 0, 0], "time": {"stop": 1.0, "step": 0.1}},
                      id="bloch-llg-field-square-overflows"),
+        pytest.param("bloch", {"model": "llg_spin_valve", "alpha": 0.1, "a": 0.05,
+                               "polarization": [0, 0, 2], "field": [0, 0, 1], "n0": [1, 0, 0],
+                               "time": {"stop": 0.0, "num": 1}},
+                     id="bloch-polarization-not-unit-on-one-sample"),
     ],
 )
 def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
@@ -530,6 +537,39 @@ def test_empty_trajectory_round_trip(tmp_path):
         t, states, norms = read_trajectory(path)
     assert t.shape == (0,) and states.shape == (0, 3)
     assert norms["canonical"].shape == norms["eta"].shape == (0,)
+
+
+# -0.0, subnormals, the largest finite doubles and integral values next to arbitrary finite floats
+CSV_CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+     -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22, 123456789.0]
+)
+CSV_TABLES = hnp.arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 9)), elements=CSV_CELLS)
+
+
+def _csv_reference(table) -> str:
+    return "h\n" + "".join(",".join("%.17g" % float(x) for x in row) + "\n" for row in table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CSV_TABLES)
+def test_csv_encode_matches_per_cell_formatting(table):
+    assert cli._encode("t.csv", ("h", list(table.T))) == _csv_reference(table)
+
+
+def test_csv_encode_matches_per_cell_formatting_across_blocks():
+    rows = 2 * cli._CSV_BLOCK + 3
+    table = RNG.standard_normal((rows, 3)) * 10.0 ** RNG.integers(-300, 300, (rows, 3))
+    table[::7, 1] = -0.0
+    assert cli._encode("t.csv", ("h", list(table.T))) == _csv_reference(table)
+
+
+@settings(max_examples=50, deadline=None)
+@given(CSV_TABLES.filter(lambda t: t.size > 0), st.data(), st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_csv_encode_refuses_a_non_finite_cell(table, data, bad):
+    table[data.draw(st.integers(0, table.shape[0] - 1)), data.draw(st.integers(0, table.shape[1] - 1))] = bad
+    with pytest.raises(ValidationError, match="not finite"):
+        cli._encode("t.csv", ("h", list(table.T)))
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -10,6 +10,7 @@ from pseudospin.dynamics import (
     _cross,
     bloch_canonical,
     bloch_eta,
+    bloch_model,
     correspondence_residual,
     effective_field,
     evolve_state,
@@ -320,7 +321,7 @@ def test_integrate_renormalize_projects():
 def test_integrate_step_too_large():
     t = np.linspace(0.0, 1.0, 3)
     with pytest.raises(StepTooLargeError):
-        integrate(lambda _t, n: 5.0 * n, [1, 0, 0], t)
+        integrate(lambda _t, n: [5.0 * x for x in n], [1, 0, 0], t)
     with pytest.raises(StepTooLargeError):  # a NaN drift is not below the threshold
         integrate(lambda _t, n: np.full(3, np.nan), [1, 0, 0], t)
 
@@ -336,19 +337,13 @@ def test_integrate_rejects_bad_inputs():
         integrate(lambda _t, n: n, [1, 0, 0], np.array([0.0, 0.1, 0.3]))
 
 
-def _bloch_model(model, b, im, alpha, a, p):
-    """(integrate right-hand side, constant complex field F_eq) of one bloch model.
-
-    Each model is damped precession under F_eq: F for damped, b / (1 - i alpha)
-    for the Gilbert form, and that minus i a P with the spin-transfer torque.
-    """
+def _public_rhs(model, b, im, alpha, a, p):
+    """integrate right-hand side of one bloch model through its public rhs_* (ndarray in, out)."""
     if model == "damped":
-        f = b + 1j * im
-        return (lambda _t, n: rhs_damped_precession(n, f)), f
-    gilbert = b / (1.0 - 1j * alpha)
+        return lambda _t, n: rhs_damped_precession(n, b + 1j * im)
     if model == "llg":
-        return (lambda _t, n: rhs_llg(n, b, alpha)), gilbert
-    return (lambda _t, n: rhs_llg_spin_torque(n, b, alpha, a, p)), gilbert - 1j * a * p
+        return lambda _t, n: rhs_llg(n, b, alpha)
+    return lambda _t, n: rhs_llg_spin_torque(n, b, alpha, a, p)
 
 
 PINNED_B, PINNED_IM = np.array([0.3, -0.7, 1.1]), np.array([0.2, 0.1, -0.3])
@@ -359,7 +354,7 @@ PINNED_P = np.array([0.6, 0.0, 0.8])
 @pytest.mark.parametrize("model", ["damped", "llg", "llg_spin_valve"])
 def test_integrate_is_bit_identical_to_reference_rk4(model, renormalize):
     alpha, a = 0.15, 0.07
-    rhs, _ = _bloch_model(model, PINNED_B, PINNED_IM, alpha, a, PINNED_P)
+    rhs = _public_rhs(model, PINNED_B, PINNED_IM, alpha, a, PINNED_P)
     field = PINNED_B + 1j * PINNED_IM if model == "damped" else PINNED_B
     reference = reference_rhs(model, field, alpha, a, PINNED_P)
     n0, t = np.array([0.48, 0.6, 0.64]), np.linspace(0.0, 4.0, 201)
@@ -395,7 +390,7 @@ def test_integrate_is_fourth_order_against_exact_trajectory(
 ):
     # the canonical Bloch vector of exp(-i F_eq.sigma t / 2) psi(n0) solves the
     # damped precession under F_eq exactly (the paper's classical correspondence)
-    rhs, f_eq = _bloch_model(model, b, im, alpha, a, p)
+    rhs, f_eq = bloch_model(model, b + 1j * im if model == "damped" else b, alpha, a, p)
     psi0 = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
     h_eq = hamiltonian_from_field(f_eq)
     errors = []
@@ -407,6 +402,67 @@ def test_integrate_is_fourth_order_against_exact_trajectory(
     assert errors[0] <= 0.1**4  # C h^4 with C = 1; C reaches about 0.3
     if errors[0] > 1e-9:  # below this the start sits on a fixed point and the ratio is noise
         assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+
+MODELS = ["damped", "llg", "llg_spin_valve"]
+REALS = hnp.arrays(np.float64, 3, elements=st.floats(-1.5, 1.5))
+IMAGS = hnp.arrays(np.float64, 3, elements=st.floats(-0.5, 0.5))
+UNITS = st.builds(_unit, ANGLES, AZIMUTHS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(MODELS),
+    renormalize=st.booleans(),
+    b=REALS,
+    im=IMAGS,
+    alpha=st.floats(-1.0, 1.0),
+    a=st.floats(-0.5, 0.5),
+    p=UNITS,
+    n0=UNITS,
+)
+def test_model_table_rate_is_bit_identical_to_reference_rk4(model, renormalize, b, im, alpha, a, p, n0):
+    # the bloch CLI path: bloch_model's float-triple rate, stepped by integrate
+    field = b + 1j * im if model == "damped" else b
+    rate, _ = bloch_model(model, field, alpha, a, p)
+    t = np.linspace(0.0, 1.0, 21)
+    traj = integrate(rate, n0, t, renormalize=renormalize)
+    reference = reference_rhs(model, field, alpha, a, p)
+    states, raw, projected = reference_rk4(reference, n0, t, renormalize)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.norms["raw"], raw)
+    assert np.array_equal(traj.norms["projected"], projected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.sampled_from(MODELS),
+    stack=hnp.arrays(
+        np.float64, st.tuples(st.integers(1, 6), st.just(3)), elements=st.floats(-4.0, 4.0)
+    ),
+    b=REALS,
+    im=IMAGS,
+    alpha=st.floats(-2.0, 2.0),
+    a=st.floats(-2.0, 2.0),
+    p=UNITS,
+)
+def test_public_rhs_on_a_stack_equals_its_rows_and_numpy_cross(model, stack, b, im, alpha, a, p):
+    rhs = _public_rhs(model, b, im, alpha, a, p)
+    stacked = rhs(0.0, stack)
+    rows = np.array([rhs(0.0, row) for row in stack])
+    field = b + 1j * im if model == "damped" else b
+    reference = reference_rhs(model, field, alpha, a, p)(0.0, stack)
+    assert stacked.shape == stack.shape and stacked.dtype == np.float64
+    for other in (rows, reference):
+        assert np.array_equal(stacked, other)
+        assert np.array_equal(np.signbit(stacked), np.signbit(other))
+
+
+def test_model_table_rejects_unknown_model_and_polarization():
+    with pytest.raises(ValidationError, match="unknown bloch model"):
+        bloch_model("gilbert", [0.0, 0.0, 1.0], 0.1)
+    with pytest.raises(ValidationError, match="unit vector"):
+        bloch_model("llg_spin_valve", [0.0, 0.0, 1.0], 0.1, 0.05, [0.0, 0.0, 2.0])
 
 
 def test_trajectory_requires_increasing_times():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +299,25 @@ def test_pullback_inverts_pushforward():
 def test_substitute_rejects_non_orthogonal():
     with pytest.raises(ValidationError):
         pullback(XI[0], np.diag([2.0, 1.0, 1.0]))
+
+
+def _with_entry(value):
+    r = np.eye(3, dtype=complex)
+    r[1, 2] = value
+    return r
+
+
+@pytest.mark.parametrize("transform", [pullback, pushforward, involution_plus])
+@pytest.mark.parametrize(
+    "matrix",
+    [np.full((3, 3), np.nan), _with_entry(np.inf), _with_entry(complex(0.0, -np.inf)), 1e200 * np.eye(3)],
+    ids=["nan", "inf", "imag-inf", "overflowing"],
+)
+def test_transforms_refuse_non_finite_matrices_without_warnings(transform, matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="complex-orthogonal"):
+            transform(XI[0], matrix)
 
 
 # ------------------------------------------------------------ Dirac bracket
