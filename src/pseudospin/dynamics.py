@@ -184,29 +184,40 @@ def rhs_llg_spin_torque(n, real_field, alpha: float, a: float, polarization) -> 
     return _join(_spin_torque3(_components(n), _components(real_field), alpha, a, p))
 
 
-def bloch_model(model: str, field, alpha: float = 0.0, a: float = 0.0, polarization=None):
-    """(rate, F_eq) of one bloch model.
+def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
+    """(rate, F_eq) of one bloch model; the one place that knows the models and their parameters.
 
     rate(t, n) takes n as three floats and returns its three components,
     for integrate.  F_eq is the constant complex field under which the
     model is damped precession: the field F itself for "damped" (alias
     "precession"), b / (1 - i alpha) for the Gilbert form "llg" with real
-    field b, and that minus i a P for "llg_spin_valve".
+    field b, and that minus i a P for "llg_spin_valve".  A parameter the
+    model needs and did not get (None) is a ValidationError; one it does
+    not take is ignored.
     """
+    f = as_field(field)
     if model in ("damped", "precession"):
-        f = as_field(field)
         fr, fi = f.real.tolist(), f.imag.tolist()
         return (lambda _t, n: _damped3(n, fr, fi)), f
-    b = np.asarray(field, dtype=float).reshape(3)
+    if model == "llg":
+        needs = {"alpha": alpha}
+    elif model == "llg_spin_valve":
+        needs = {"alpha": alpha, "a": a, "polarization": polarization}
+    else:
+        raise ValidationError(f"unknown bloch model {model!r}")
+    missing = [name for name, value in needs.items() if value is None]
+    if missing:
+        raise ValidationError(f"bloch model {model!r} needs {', '.join(missing)}")
+    if np.any(f.imag != 0.0):
+        raise ValidationError(f"bloch model {model!r} needs a real field")
+    b = f.real
     gilbert = b / (1.0 - 1j * alpha)
     bl = b.tolist()
     if model == "llg":
         return (lambda _t, n: _gilbert3(n, bl, alpha)), gilbert
-    if model == "llg_spin_valve":
-        p = _unit_polarization(polarization).reshape(3)
-        pl = p.tolist()
-        return (lambda _t, n: _spin_torque3(n, bl, alpha, a, pl)), gilbert - 1j * a * p
-    raise ValidationError(f"unknown bloch model {model!r}")
+    p = _unit_polarization(polarization).reshape(3)
+    pl = p.tolist()
+    return (lambda _t, n: _spin_torque3(n, bl, alpha, a, pl)), gilbert - 1j * a * p
 
 
 @dataclass
@@ -249,7 +260,8 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
     arithmetic of the array form n + (h/2) k.  Norms are sqrt(v.dot(v))
     of the state as a length-3 array, which is what np.linalg.norm
     computes; BLAS may fuse multiply-adds there, so x*x + y*y + z*z would
-    differ in the last bit.
+    differ in the last bit.  That array is also the row stored into the
+    preallocated states.
 
     With renormalize the state is projected back to the unit sphere after
     every step.  Raw (pre-projection) and projected norms are both recorded.
@@ -257,6 +269,8 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
     StepTooLargeError.
     """
     t = np.asarray(t_grid, dtype=float).reshape(-1)
+    if len(t) == 0:
+        raise ValidationError("time grid must have at least one sample")
     h = _uniform_step(t)
     n = np.asarray(n0, dtype=float).copy()
     if n.shape != (3,):
@@ -264,9 +278,13 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
     if not abs(np.sqrt(n @ n) - 1.0) <= 1e-9:
         raise ValidationError("initial Bloch vector must be unit length")
 
+    states = np.empty((len(t), 3))
+    raw = np.empty(len(t))
+    projected = np.empty(len(t))
     x, y, z = n.tolist()
     norm = math.sqrt(n.dot(n))
-    states, raw, projected = [(x, y, z)], [norm], [norm]
+    states[0] = n
+    raw[0] = projected[0] = norm
     half, sixth = 0.5 * h, h / 6.0
     times = t.tolist()
     for k in range(len(t) - 1):
@@ -290,13 +308,13 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
             x, y, z = x / raw_norm, y / raw_norm, z / raw_norm
             v = np.array((x, y, z))
             norm = math.sqrt(v.dot(v))
-        states.append((x, y, z))
-        raw.append(raw_norm)
-        projected.append(norm)
+        states[k + 1] = v
+        raw[k + 1] = raw_norm
+        projected[k + 1] = norm
     return Trajectory(
         times=t,
-        states=np.array(states, dtype=float),
-        norms={"raw": np.array(raw), "projected": np.array(projected)},
+        states=states,
+        norms={"raw": raw, "projected": projected},
         metadata={"method": "rk4", "step": h, "renormalize": bool(renormalize)},
     )
 

@@ -352,10 +352,25 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
         pytest.param("bloch", {"model": "llg", "alpha": 0.1, "field": [1e200, 0, 0],
                                "n0": [1, 0, 0], "time": {"stop": 1.0, "step": 0.1}},
                      id="bloch-llg-field-square-overflows"),
+        pytest.param("bloch", {"model": "llg_spin_valve", "alpha": 0.1, "a": 1e200,
+                               "polarization": [0, 0, 1], "field": [0, 0, 1], "n0": [1, 0, 0],
+                               "time": {"stop": 1.0, "step": 0.1}},
+                     id="bloch-spin-valve-equivalent-field-square-overflows"),
         pytest.param("bloch", {"model": "llg_spin_valve", "alpha": 0.1, "a": 0.05,
                                "polarization": [0, 0, 2], "field": [0, 0, 1], "n0": [1, 0, 0],
                                "time": {"stop": 0.0, "num": 1}},
                      id="bloch-polarization-not-unit-on-one-sample"),
+        pytest.param("bloch", {"model": "llg", "field": [0, 0, 1], "n0": [1, 0, 0],
+                               "time": {"stop": 1.0, "step": 0.1}}, id="bloch-llg-without-alpha"),
+        pytest.param("bloch", {"model": "llg_spin_valve", "alpha": 0.1, "a": 0.05,
+                               "field": [0, 0, 1], "n0": [1, 0, 0],
+                               "time": {"stop": 1.0, "step": 0.1}},
+                     id="bloch-spin-valve-without-polarization"),
+        pytest.param("bloch", {"model": "llg", "alpha": 0.1, "field": [0, 0, [1.0, 5.0]],
+                               "n0": [1, 0, 0], "time": {"stop": 1.0, "step": 0.1}},
+                     id="bloch-llg-complex-field"),
+        pytest.param("bloch", {"model": "gilbert", "field": [0, 0, 1], "n0": [1, 0, 0],
+                               "time": {"stop": 1.0, "step": 0.1}}, id="bloch-unknown-model"),
     ],
 )
 def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):

@@ -335,6 +335,8 @@ def test_integrate_rejects_bad_inputs():
         integrate(lambda _t, n: n, [[1, 0, 0]], np.linspace(0, 1, 5))
     with pytest.raises(ValidationError):
         integrate(lambda _t, n: n, [1, 0, 0], np.array([0.0, 0.1, 0.3]))
+    with pytest.raises(ValidationError, match="at least one sample"):
+        integrate(lambda _t, n: n, [1, 0, 0], [])
 
 
 def _public_rhs(model, b, im, alpha, a, p):
@@ -463,6 +465,20 @@ def test_model_table_rejects_unknown_model_and_polarization():
         bloch_model("gilbert", [0.0, 0.0, 1.0], 0.1)
     with pytest.raises(ValidationError, match="unit vector"):
         bloch_model("llg_spin_valve", [0.0, 0.0, 1.0], 0.1, 0.05, [0.0, 0.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "model, field, params, message",
+    [
+        ("llg", [0.0, 0.0, 1.0], {}, "'llg' needs alpha"),
+        ("llg_spin_valve", [0.0, 0.0, 1.0], {"alpha": 0.1, "a": 0.05}, "needs polarization"),
+        ("llg_spin_valve", [0.0, 0.0, 1.0], {}, "needs alpha, a, polarization"),
+        ("llg", [0.0, 0.0, 1.0 + 5.0j], {"alpha": 0.1}, "needs a real field"),
+    ],
+)
+def test_model_table_names_what_a_model_is_missing(model, field, params, message):
+    with pytest.raises(ValidationError, match=message):
+        bloch_model(model, field, **params)
 
 
 def test_trajectory_requires_increasing_times():
