@@ -55,11 +55,16 @@ _MAX_POINTS = 10**6  # samples in a time grid or points in a sweep: 100x the lar
 
 
 def _parse_real(value, where: str) -> float:
-    """Every real number a scenario holds is read here: finite, or a ValidationError."""
+    """Every real number a scenario holds is read here: a finite JSON number, or a ValidationError.
+
+    A bool or a string is not a number here, though float() would take either.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: expected a number, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}: expected a number, got {value!r}") from exc
+    except OverflowError:  # an integer past 1.8e308
+        x = math.inf
     if not math.isfinite(x):
         raise ValidationError(f"{where}: expected a finite number, got {value!r}")
     return x
@@ -86,6 +91,14 @@ def _check_count(count: int, where: str) -> int:
     return count
 
 
+def _parse_count(value, where: str) -> int:
+    """A scenario's sample or point count: a whole number in range."""
+    x = _parse_real(value, where)
+    if not x.is_integer():
+        raise ValidationError(f"{where}: expected a whole number, got {value!r}")
+    return _check_count(int(x), where)
+
+
 def _parse_time_grid(window, step_override=None) -> np.ndarray:
     if not isinstance(window, dict):
         raise ValidationError("time: expected an object with start/stop and step or num")
@@ -98,8 +111,7 @@ def _parse_time_grid(window, step_override=None) -> np.ndarray:
     elif "step" in window:
         step = _parse_real(window["step"], "time.step")
     elif "num" in window:
-        num = int(_parse_real(window["num"], "time.num"))
-        return np.linspace(start, stop, _check_count(num, "time.num"))
+        return np.linspace(start, stop, _parse_count(window["num"], "time.num"))
     else:
         raise ValidationError("time: needs step or num")
     if step <= 0:
@@ -296,7 +308,9 @@ def _run_bloch(scenario, tol, step):
     model = scenario.get("model", "damped")
     n0 = _parse_vector(_require(scenario, "n0"), "n0", 3, _parse_real)
     grid = _parse_time_grid(_require(scenario, "time"), step)
-    renormalize = bool(scenario.get("renormalize", False))
+    renormalize = scenario.get("renormalize", False)
+    if not isinstance(renormalize, bool):
+        raise ValidationError(f"renormalize: expected true or false, got {renormalize!r}")
     field = _parse_vector(_require(scenario, "field"), "field", 3)
     # bloch_model decides which of these the model needs; the CLI only parses what is there
     params = {key: _parse_real(scenario[key], key) for key in ("alpha", "a") if key in scenario}
@@ -408,10 +422,8 @@ def _run_grassmann(scenario, tol, step):
 def _grid_axis(axis, name: str) -> list:
     where = f"grid.{name}"
     if isinstance(axis, dict):
-        start, stop, num = (
-            _parse_real(axis.get(key), f"{where}.{key}") for key in ("start", "stop", "num")
-        )
-        return list(np.linspace(start, stop, _check_count(int(num), where)))
+        start, stop = (_parse_real(axis.get(key), f"{where}.{key}") for key in ("start", "stop"))
+        return list(np.linspace(start, stop, _parse_count(axis.get("num"), f"{where}.num")))
     return [_parse_real(v, where) for v in (axis if isinstance(axis, (list, tuple)) else [axis])]
 
 
@@ -458,6 +470,8 @@ def run(kind: str, scenario_path, out_dir, tol: float = 1e-10, step=None) -> int
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
+        if not 0.0 < tol < 1.0:  # NaN fails this test too
+            raise ValidationError(f"tol must be a finite number in (0, 1), got {tol!r}")
         try:
             scenario = json.loads(Path(scenario_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
@@ -494,7 +508,7 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name, help=f"run a {name} scenario")
         cmd.add_argument("--scenario", required=True, help="scenario JSON file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance")
+        cmd.add_argument("--tol", type=float, default=1e-10, help="numerical tolerance in (0, 1)")
         cmd.add_argument("--step", type=float, default=None, help="time-grid step override")
     args = parser.parse_args(argv)
     kind = args.command.replace("-", "_")

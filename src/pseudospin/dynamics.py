@@ -44,8 +44,10 @@ def evolve_state(op, psi0, t: float | np.ndarray) -> np.ndarray:
 def _norm_sq(v: np.ndarray, m=None) -> np.ndarray:
     """<v, v>, or <v, m v> with a metric m, over the last axis of a state stack."""
     nrm2 = np.vecdot(v, v if m is None else np.matvec(m, v)).real
-    if not np.all(np.isfinite(nrm2) & (nrm2 >= 1e-300)):
-        under = "" if m is None else " under eta"
+    under = "" if m is None else " under eta"
+    if not np.all(np.isfinite(nrm2)):
+        raise ValidationError(f"state vector overflows: its squared norm{under} is not finite")
+    if not np.all(nrm2 >= 1e-300):
         raise ZeroStateError(f"state vector is numerically zero{under}")
     return nrm2
 
@@ -92,41 +94,32 @@ def _cross3(u, v) -> tuple:
     return (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
 
 
-def _cross(u, v) -> np.ndarray:
-    """u x v over the last axis, for 3-vectors or broadcasting stacks (..., 3).
-
-    Bit for bit numpy.cross, which spends tens of microseconds on argument
-    handling per call.  A pair of real 3-vectors is crossed on Python
-    floats, anything else on its columns.
-    """
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape == v.shape == (3,) and u.dtype == v.dtype == np.float64:
-        return np.array(_cross3(u.tolist(), v.tolist()))
-    return np.stack(_cross3(_columns(u), _columns(v)), axis=-1)
-
-
-def _columns(x: np.ndarray) -> tuple:
+def _split(x) -> tuple | list:
+    """A real (3,) vector as three Python floats, anything else (..., 3) as its three columns."""
+    x = np.asarray(x)
     if x.shape[-1:] != (3,):
-        raise ValueError(f"cross product needs 3-vectors, got shape {x.shape}")
+        raise ValueError(f"expected 3-vectors, got shape {x.shape}")
+    if x.shape == (3,) and x.dtype == np.float64:  # not complex: Python's signed zeros differ
+        return x.tolist()
     return x[..., 0], x[..., 1], x[..., 2]
 
 
-def _components(x) -> tuple | list:
-    """A real (3,) vector as three Python floats, a stack (..., 3) as its three columns."""
-    x = np.asarray(x, dtype=float)
-    return x.tolist() if x.shape == (3,) else _columns(x)
+def _join(c) -> np.ndarray:
+    """Three components (floats, scalars or broadcast arrays) as a (..., 3) array."""
+    return np.stack(c, axis=-1)
 
 
-def _join(c: tuple) -> np.ndarray:
-    """Three floats as a (3,) vector, three component arrays as a (..., 3) stack."""
-    return np.stack(c, axis=-1) if isinstance(c[0], np.ndarray) else np.array(c)
+def _cross(u, v) -> np.ndarray:
+    """u x v over the last axis, bit for bit numpy.cross without its per-call argument handling."""
+    return _join(_cross3(_split(u), _split(v)))
 
 
-# Rates of the bloch models on component triples n, one formula each: the
-# public rhs_* below and the integrator's bloch_model both evaluate these.
+def _rate_at(n, model: tuple) -> np.ndarray:
+    """The rate of a bloch_model (rate, F_eq) pair at a real vector n (3,) or a stack (..., 3)."""
+    return _join(model[0](0.0, _split(np.asarray(n, dtype=float))))
 
 
+# Rates of the bloch models on component triples n, one formula each; only bloch_model picks them.
 def _damped3(n, fr, fi) -> tuple:
     """-n x Re(F) - n x (n x Im(F))."""
     c1, c2, c3 = _cross3(n, fr)
@@ -153,17 +146,9 @@ def _spin_torque3(n, b, alpha, a, p) -> tuple:
     return (g1 + a * e1, g2 + a * e2, g3 + a * e3)
 
 
-def _unit_polarization(polarization) -> np.ndarray:
-    p = np.asarray(polarization, dtype=float)
-    if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
-        raise ValidationError("polarization direction must be a unit vector")
-    return p
-
-
 def rhs_damped_precession(n, field) -> np.ndarray:
     """n' = -n x Re(F) - n x (n x Im(F)) for a real unit vector n (or a stack (..., 3))."""
-    f = as_field(field)
-    return _join(_damped3(_components(n), f.real.tolist(), f.imag.tolist()))
+    return _rate_at(n, bloch_model("damped", field))
 
 
 def effective_field(n, field) -> np.ndarray:
@@ -175,25 +160,24 @@ def effective_field(n, field) -> np.ndarray:
 
 def rhs_llg(n, real_field, alpha: float) -> np.ndarray:
     """Gilbert-damped precession for a real field and damping parameter alpha."""
-    return _join(_gilbert3(_components(n), _components(real_field), alpha))
+    return _rate_at(n, bloch_model("llg", real_field, alpha))
 
 
 def rhs_llg_spin_torque(n, real_field, alpha: float, a: float, polarization) -> np.ndarray:
     """Gilbert form plus the spin-transfer torque a * n x (n x P), |P| = 1."""
-    p = _components(_unit_polarization(polarization))
-    return _join(_spin_torque3(_components(n), _components(real_field), alpha, a, p))
+    return _rate_at(n, bloch_model("llg_spin_valve", real_field, alpha, a, polarization))
 
 
 def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     """(rate, F_eq) of one bloch model; the one place that knows the models and their parameters.
 
-    rate(t, n) takes n as three floats and returns its three components,
-    for integrate.  F_eq is the constant complex field under which the
-    model is damped precession: the field F itself for "damped" (alias
-    "precession"), b / (1 - i alpha) for the Gilbert form "llg" with real
-    field b, and that minus i a P for "llg_spin_valve".  A parameter the
-    model needs and did not get (None) is a ValidationError; one it does
-    not take is ignored.
+    rate(t, n) takes n as three floats (or three component arrays) and
+    returns its three components, for integrate.  F_eq is the constant
+    complex field under which the model is damped precession: the field F
+    itself for "damped" (alias "precession"), b / (1 - i alpha) for the
+    Gilbert form "llg" with real field b, and that minus i a P for
+    "llg_spin_valve".  A parameter the model needs and did not get (None)
+    is a ValidationError; one it does not take is ignored.
     """
     f = as_field(field)
     if model in ("damped", "precession"):
@@ -215,8 +199,10 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     bl = b.tolist()
     if model == "llg":
         return (lambda _t, n: _gilbert3(n, bl, alpha)), gilbert
-    p = _unit_polarization(polarization).reshape(3)
-    pl = p.tolist()
+    p = np.asarray(polarization, dtype=float)
+    if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
+        raise ValidationError("polarization direction must be a unit vector")
+    pl = p.reshape(3).tolist()
     return (lambda _t, n: _spin_torque3(n, bl, alpha, a, pl)), gilbert - 1j * a * p
 
 

@@ -371,6 +371,18 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
                      id="bloch-llg-complex-field"),
         pytest.param("bloch", {"model": "gilbert", "field": [0, 0, 1], "n0": [1, 0, 0],
                                "time": {"stop": 1.0, "step": 0.1}}, id="bloch-unknown-model"),
+        pytest.param("suppress", {"b_z": 1.0, "omega": True, "alpha": 0.5},
+                     id="suppress-omega-bool"),
+        pytest.param("rabi", {"b": "1.5", "b_z": 1.0, "omega": 2.0}, id="rabi-b-numeric-string"),
+        pytest.param("check", {"field": [1.0, 0.0, [False, 0.5]]}, id="check-field-pair-bool"),
+        pytest.param("bloch", {"field": [0, 0, 1], "n0": [1, 0, 0], "renormalize": "no",
+                               "time": {"stop": 1.0, "step": 0.1}}, id="bloch-renormalize-string"),
+        pytest.param("bloch", {"field": [0, 0, 1], "n0": [1, 0, 0], "renormalize": 1,
+                               "time": {"stop": 1.0, "step": 0.1}}, id="bloch-renormalize-number"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0],
+                                "time": {"stop": 1.0, "num": 2.7}}, id="time-num-fractional"),
+        pytest.param("sweep", {"grid": {"b": {"start": 0.5, "stop": 1.5, "num": 2.5}},
+                               "b_z": 1.0, "omega": 2.0, "alpha": 0.5}, id="sweep-num-fractional"),
     ],
 )
 def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
@@ -408,6 +420,37 @@ def test_rabi_overflow_is_validation_error(tmp_path, kind, scenario):
     assert [p.name for p in out.iterdir()] == ["error.json"]
     text = (out / "error.json").read_text()
     assert "Infinity" not in text and "NaN" not in text
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        pytest.param({"field": [0, 0, 1], "state": [1e200, 0], "time": {"stop": 1.0, "num": 3}},
+                     id="state-square-overflows"),
+        # |psi(t)|^2 = e^t passes 1.8e308 near t = 710
+        pytest.param({"field": [0, 0, [0, 1]], "state": [1, 0],
+                      "time": {"stop": 1400.0, "step": 1.0}}, id="norm-grows-past-overflow"),
+    ],
+)
+def test_overflowing_state_is_not_reported_as_zero(tmp_path, scenario):
+    scen = write_scenario(tmp_path, {"kind": "evolve", **scenario})
+    out = tmp_path / "out"
+    assert run_cli("evolve", scen, out) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ValidationError"
+    assert "overflows" in error["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1"])
+def test_tolerance_outside_the_unit_interval_is_validation_error(tmp_path, tol):
+    # a tolerance outside (0, 1) is a malformed request, refused before the scenario is read
+    scen = write_scenario(tmp_path, {"kind": "check", "field": [1.0, 0.0, 0.5]})
+    out = tmp_path / "out"
+    assert run_cli("check", scen, out, "--tol", tol) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ValidationError" and "tol" in error["message"]
+    assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
 def test_bloch_non_finite_step_is_step_too_large(tmp_path):

@@ -105,6 +105,13 @@ def test_bloch_canonical_rejects_zero_state():
         bloch_canonical([0, 0])
 
 
+def test_bloch_canonical_names_an_overflowing_state():
+    # |psi|^2 = 1e400 is not finite: an overflow, not a numerically zero state
+    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="overflows") as info:
+        bloch_canonical([1e200, 0])
+    assert not isinstance(info.value, ZeroStateError)
+
+
 def test_bloch_eta_identity_metric_reduces_to_canonical():
     for _ in range(5):
         psi = random_state(RNG)
@@ -479,6 +486,30 @@ def test_model_table_rejects_unknown_model_and_polarization():
 def test_model_table_names_what_a_model_is_missing(model, field, params, message):
     with pytest.raises(ValidationError, match=message):
         bloch_model(model, field, **params)
+
+
+COMPLEX_B = np.array([0.0, 0.0, 1.0 + 5.0j])
+AXIS = [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [[1.0, 0.0, 0.0], np.tile([0.6, 0.0, 0.8], (4, 1))],
+                         ids=["vector", "stack"])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda n: rhs_llg(n, COMPLEX_B, 0.1), "needs a real field"),
+        (lambda n: rhs_llg_spin_torque(n, COMPLEX_B, 0.1, 0.05, AXIS), "needs a real field"),
+        (lambda n: rhs_llg(n, AXIS, None), "'llg' needs alpha"),
+        (lambda n: rhs_llg_spin_torque(n, AXIS, None, 0.05, AXIS), "needs alpha"),
+        (lambda n: rhs_llg_spin_torque(n, AXIS, 0.1, None, AXIS), "needs a$"),
+    ],
+    ids=["llg-complex-field", "spin-valve-complex-field", "llg-alpha-none",
+         "spin-valve-alpha-none", "spin-valve-a-none"],
+)
+def test_public_rhs_refuses_what_the_model_table_refuses(n, call, message):
+    # the public rhs_* are views of bloch_model: same refusals, same ValidationError
+    with pytest.raises(ValidationError, match=message):
+        call(n)
 
 
 def test_trajectory_requires_increasing_times():

@@ -1,8 +1,11 @@
-"""Golden digests: the byte-identical output contract of bloch and evolve.
+"""Golden digests: the byte-identical output contract of every CLI kind.
 
 Each scenario below is run through the CLI and every file it writes is
 compared by sha256 with a digest recorded from an earlier version of the
-package.  A refactor of a hot path must leave these bytes alone; a change
+package; the kinds with two branches (metric from alpha or from b_field,
+rabi's three amplitude forms, suppress with and without a torque, a sweep
+over a = 0 and a != 0) pin each branch, and one refusal pins its exit-3
+error.json.  A refactor of a hot path must leave these bytes alone; a change
 that means to alter an output updates its digest and says why.
 
 The digests assume this numpy build and its OpenBLAS: the RK4 norms are
@@ -41,7 +44,29 @@ EVOLVE = {
     "eta_bare": {"alpha": 0.6, "metric": "eta", "observables": "bare"},
 }
 
+SUPPRESSED_B = 1.0862780491200217  # solve_suppression_B(1.0, 2.0, 0.3): on the surface
+RABI_TIME = {"start": 0.0, "stop": 3.0, "step": 0.05}
+RABI = {"b_z": 1.0, "omega": 2.0}
+OTHER_KINDS = {
+    "check": ("check", {"field": [0.8, [0.1, 0.2], [0.5, -0.3]]}),
+    "metric-alpha": ("metric", {"field": [1.0, 0.0, [0.0, 0.6]], "alpha": 0.6}),
+    "metric-b_field": ("metric", {"field": [1.0, 0.0, [0.0, 0.8]], "b_field": [0.48, 0.0, 0.36]}),
+    "rabi-undamped": ("rabi", {**RABI, "b": 1.0, "time": RABI_TIME}),
+    "rabi-suppressed": ("rabi", {**RABI, "b": SUPPRESSED_B, "alpha": 0.3, "time": RABI_TIME}),
+    "rabi-off-surface": ("rabi", {**RABI, "b": 1.0, "alpha": 0.3, "time": RABI_TIME}),
+    "suppress-no-torque": ("suppress", {**RABI, "alpha": 0.3}),
+    "suppress-torque": ("suppress", {**RABI, "alpha": 0.3, "a": 0.05}),
+    "sweep": (
+        "sweep",
+        {**RABI, "alpha": 0.3, "grid": {"b": {"start": 0.5, "stop": 1.5, "num": 5}, "a": [0.0, 0.05]}},
+    ),
+    "grassmann_verify": ("grassmann_verify", {"b_field": [0.7, -1.1, 0.4]}),
+}
+# a non-pseudo-Hermitian field (square -3) has no metric: exit 3 with only error.json
+REFUSED = ("metric", {"field": [1.0, 0.0, [0.0, 2.0]], "alpha": 0.5})
+
 SCENARIOS = {
+    **OTHER_KINDS,
     **{
         f"bloch-{model}-{'renorm' if renormalize else 'raw'}": (
             "bloch",
@@ -54,6 +79,39 @@ SCENARIOS = {
 }
 
 GOLDEN = {
+    "check": {
+        "check.json": "8a414e8c232ddfb34d84424256a5fee32fb5fa46d2b022d17242286e0e24b853",
+    },
+    "metric-alpha": {
+        "metric.json": "02a2424f44571dc97396ddad88b8f412bb707e826215ed76ddee83d6f6dccf02",
+    },
+    "metric-b_field": {
+        "metric.json": "0d818815c43e9c8e4f490d8c662f0b04b8f09c03047496aed24d646aaf028bca",
+    },
+    "rabi-undamped": {
+        "amplitude.csv": "67aac51046fd9c553c1ff027b135122e3b17531520d0d4c7c4862d1b30d4a501",
+        "rabi.json": "f7b1fd17970b84af4cd6cc489467220964efb876145bf639d16a1eca171d309e",
+    },
+    "rabi-suppressed": {
+        "amplitude.csv": "d43570181e992a3c69ec3e16db083afe046e9f4e6227e65d369e2b9142a3c87c",
+        "rabi.json": "9c5fda2ec7e21f1fa7d18e4aeb65d818a1942c8ed4be2f73031755c338d6f30c",
+    },
+    "rabi-off-surface": {
+        "rabi.json": "c1a3f08dee0b023a84d1998f89a90f1f57c358ae50ee0ca595d4d10c5daa76d7",
+    },
+    "suppress-no-torque": {
+        "suppress.json": "ab7f4132f2d74fe21a481108550361bd77204edf21fd0ca9ee294d5ff38ee029",
+    },
+    "suppress-torque": {
+        "suppress.json": "82c032ddf38ff0b91385e3691e924b96bc48597b42dabdda2dc17de3a3547687",
+    },
+    "sweep": {
+        "sweep.json": "ae87e0bdce1e97d60d2b2ed419fa7657d472d4e544af49559fa8e32f20f23af1",
+        "sweep.jsonl": "a39bd0452bb76d1a27b4354a54ebe5f7e291abbbe3ab6caaef9bd2757ba4bb39",
+    },
+    "grassmann_verify": {
+        "grassmann.json": "140f946cf17731c308b569b8a5dbcefcb56b8a929541757769c8093b28235907",
+    },
     "bloch-damped-raw": {
         "bloch.json": "7e980dd2ad21ee85633978aa16059209e387ec183e3ab6dbc80d270edcd087c2",
         "trajectory.csv": "614c1fd3cee13f3fbbb9bae06d430829738bfc2912624dc375391343f2534e91",
@@ -102,3 +160,15 @@ def test_outputs_match_golden_digests(tmp_path, name):
     assert cli.run(kind, path, out) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
     assert digests == GOLDEN[name]
+
+
+def test_refusal_matches_golden_digest(tmp_path):
+    kind, scenario = REFUSED
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"kind": kind, **scenario}))
+    out = tmp_path / "out"
+    assert cli.run(kind, path, out) == 3
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+    assert digests == {
+        "error.json": "233c49c1fdd846e8e64ee405bf65a7d8d278ea4d4198f05fe81a1a9ee224e2b8"
+    }
