@@ -4,8 +4,12 @@ Each scenario below is run through the CLI and every file it writes is
 compared by sha256 with a digest recorded from an earlier version of the
 package; the kinds with two branches (metric from alpha or from b_field,
 rabi's three amplitude forms, suppress with and without a torque, a sweep
-over a = 0 and a != 0) pin each branch, and one refusal pins its exit-3
-error.json.  A refactor of a hot path must leave these bytes alone; a change
+over a = 0 and a != 0) pin each branch, and two refusals pin their exit-3 and
+exit-2 error.json.  The sweeps also pin the per-point decisions: critical
+points where a b_z and an omega axis meet, alpha of either sign and zero,
+the tolerance band either side of a solved b (and a point clamped to
+omega_sq = 0 on the imaginary side), a signed-zero a axis, and linspace
+(np.float64) axes.  A refactor of a hot path must leave these bytes alone; a change
 that means to alter an output updates its digest and says why.
 
 The digests assume this numpy build and its OpenBLAS: the RK4 norms are
@@ -60,10 +64,37 @@ OTHER_KINDS = {
         "sweep",
         {**RABI, "alpha": 0.3, "grid": {"b": {"start": 0.5, "stop": 1.5, "num": 5}, "a": [0.0, 0.05]}},
     ),
+    "sweep-critical": (
+        "sweep",
+        {"grid": {"b": [0.5, 1.2], "b_z": [1.0, 2.0], "omega": {"start": 1.0, "stop": 2.0, "num": 3},
+                  "alpha": [0.0, -0.4, 0.3]}},
+    ),
+    "sweep-band": (
+        "sweep",
+        {**RABI, "alpha": 0.3, "grid": {"b": [SUPPRESSED_B + e for e in (-1e-9, -1e-10, 0.0, 1e-10, 1e-9)],
+                                        "a": [-0.0, 0.05]}},
+    ),
+    # on the surface with 0 < delta * omega <= tol * scale: omega_sq clamped to 0.0
+    "sweep-clamped": (
+        "sweep",
+        {"grid": {"b": [1.5000000000833333, 1.5000000010833333], "b_z": [1.0000000002, 1.0]},
+         "omega": 1.0, "alpha": 1.5},
+    ),
     "grassmann_verify": ("grassmann_verify", {"b_field": [0.7, -1.1, 0.4]}),
 }
-# a non-pseudo-Hermitian field (square -3) has no metric: exit 3 with only error.json
-REFUSED = ("metric", {"field": [1.0, 0.0, [0.0, 2.0]], "alpha": 0.5})
+# name -> (kind, scenario, exit code, error.json digest)
+REFUSED = {
+    # a non-pseudo-Hermitian field (square -3) has no metric: exit 3 with only error.json
+    "metric-non-pseudo-hermitian": (
+        "metric", {"field": [1.0, 0.0, [0.0, 2.0]], "alpha": 0.5}, 3,
+        "233c49c1fdd846e8e64ee405bf65a7d8d278ea4d4198f05fe81a1a9ee224e2b8",
+    ),
+    # b^2 and delta^2 are finite but rabi_freq_sq = b^2 + delta^2 is not: exit 2
+    "sweep-not-finite": (
+        "sweep", {"grid": {"b": [1.3e154]}, "b_z": 1.3e154, "omega": 0.0, "alpha": 0.5}, 2,
+        "51c1f8e45ea8809b508ccfae8dcdea95856f10c9d727cacfb5373690ff02e4ea",
+    ),
+}
 
 SCENARIOS = {
     **OTHER_KINDS,
@@ -108,6 +139,18 @@ GOLDEN = {
     "sweep": {
         "sweep.json": "ae87e0bdce1e97d60d2b2ed419fa7657d472d4e544af49559fa8e32f20f23af1",
         "sweep.jsonl": "a39bd0452bb76d1a27b4354a54ebe5f7e291abbbe3ab6caaef9bd2757ba4bb39",
+    },
+    "sweep-critical": {
+        "sweep.json": "534aeadd5a781e1697dccbcabb99f886b15e99844ae496bf3ce129c5a12742ae",
+        "sweep.jsonl": "4c748e96f8a4b72d1a918a576ee70bbf5524db49ee09d8bcf1a6d796321528e1",
+    },
+    "sweep-band": {
+        "sweep.json": "ae87e0bdce1e97d60d2b2ed419fa7657d472d4e544af49559fa8e32f20f23af1",
+        "sweep.jsonl": "1bf8a8483182b659148bcceead92abc8cd2e79bc7f33c0bdb67bf37cc0619fe5",
+    },
+    "sweep-clamped": {
+        "sweep.json": "7cc6feb5993c2f650f5ac8520c2cd718f11bcfdaf1fc9b4d76418c9c6325cdf5",
+        "sweep.jsonl": "dd2ebe8647d397a7a3f53fccf0c1cfb36e872562a953c0ddb7ac6f11800b6edb",
     },
     "grassmann_verify": {
         "grassmann.json": "140f946cf17731c308b569b8a5dbcefcb56b8a929541757769c8093b28235907",
@@ -163,12 +206,10 @@ def test_outputs_match_golden_digests(tmp_path, name):
 
 
 def test_refusal_matches_golden_digest(tmp_path):
-    kind, scenario = REFUSED
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"kind": kind, **scenario}))
-    out = tmp_path / "out"
-    assert cli.run(kind, path, out) == 3
-    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
-    assert digests == {
-        "error.json": "233c49c1fdd846e8e64ee405bf65a7d8d278ea4d4198f05fe81a1a9ee224e2b8"
-    }
+    for name, (kind, scenario, code, digest) in REFUSED.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": kind, **scenario}))
+        out = tmp_path / name
+        assert cli.run(kind, path, out) == code, name
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
+        assert digests == {"error.json": digest}, name
