@@ -13,7 +13,6 @@ suite).  Identical scenarios produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -37,16 +36,20 @@ from .grassmann import correspondence_suite
 from .linalg import field_square, hamiltonian_from_field, spectrum
 from .metric import build_isometry, canonical_limit_field, canonical_rotation, is_pseudo_hermitian
 from .rabi import (
+    REGIME_CRITICAL,
+    REGIME_HERMITIAN,
+    REGIME_NON_PSEUDO_HERMITIAN,
+    REGIME_PSEUDO_HERMITIAN,
     PseudoHermitianRabi,
     RabiParameters,
-    classify_regime,
+    _is_critical,
+    _surface_error,
     ph_condition_residual,
     ph_condition_residual_spin_valve,
     ph_rabi_amplitude,
     rabi_amplitude,
     solve_suppression_B,
     solve_suppression_spin_valve,
-    suppression_surface_error,
 )
 
 # ----------------------------------------------------------- scenario parsing
@@ -139,21 +142,26 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-# built once: json.dumps would construct an encoder per report and per sweep record
+# built once: json.dumps would construct an encoder per report
 _JSON_REPORT = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False, indent=2)
-_JSON_RECORD = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False)
 # CSV rows per format call.  One call over a whole table holds a Python float per
 # cell: a 10^6-sample bloch run peaked at 671 MB RSS that way, 377 MB in blocks.
 _CSV_BLOCK = 4096
 
 
 def _encode(name: str, content) -> str:
-    """File text by suffix: .json, .jsonl (iterable of records), else (header, columns) as CSV."""
+    """File text by suffix: .json, .jsonl (iterable of lines), else (header, columns) as CSV."""
     try:
         if name.endswith(".json"):
             return _JSON_REPORT.encode(content) + "\n"
-        if name.endswith(".jsonl"):
-            return "".join(_JSON_RECORD.encode(record) + "\n" for record in content)
+        if name.endswith(".jsonl"):  # lines of _sweep_lines, checked one by one as they come
+            lines = []
+            for line in content:
+                # NaN and Infinity are the only capital letters such a line can hold
+                if "N" in line or "I" in line:
+                    raise ValueError("Out of range float values are not JSON compliant")
+                lines.append(line)
+            return "".join(lines)
     except ValueError as exc:  # allow_nan=False: Infinity and NaN are not JSON
         raise ValidationError(f"result is not finite: {exc}") from exc
     header, columns = content
@@ -331,28 +339,65 @@ def _run_bloch(scenario, tol, step):
     return {"trajectory.csv": _trajectory_table(traj), "bloch.json": payload}
 
 
-def _rabi_point(p: RabiParameters, tol: float) -> dict:
-    record = {
-        "b": p.b,
-        "b_z": p.b_z,
-        "omega": p.omega,
-        "alpha": p.alpha,
-        "a": p.a,
-        "delta": p.delta,
-        "rabi_freq_sq": p.rabi_freq_sq,
-        "cond_residual": ph_condition_residual(p),
-        "regime": classify_regime(p, tol),
-    }
-    # test before constructing: a raise per off-surface point leaves frame cycles behind
-    on_surface = suppression_surface_error(p, tol) is None
-    record["omega_sq"] = PseudoHermitianRabi(p, tolerance=tol).omega_sq if on_surface else None
-    try:
-        record["suppression_b"] = solve_suppression_B(p.b_z, p.omega, p.alpha)
-    except PseudospinError:
-        record["suppression_b"] = None
-    if p.a != 0.0:
-        record["spin_valve_residual"] = ph_condition_residual_spin_valve(p)
-    return record
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number(x) -> str:
+    """x as json.dumps(allow_nan=True) writes a float; float.__repr__ also reads an np.float64."""
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _sweep_lines(axes, tol):
+    """Per point of the axes (b, b_z, omega, alpha, a), in itertools.product order, the line
+    json.dumps(record, sort_keys=True, allow_nan=True) writes.  Each value is computed and
+    formatted once per distinct combination of the axes it depends on, keyed by axis index (a
+    value key merges 0.0 and -0.0), by the rabi module's arithmetic in its order on the axes' own
+    types (Python's x**2 and numpy's differ in the last bit).  Squares are taken in the first
+    loop that needs them, so an OverflowError is raised at the point whose record raised it."""
+    bs, zs, ws, alphas, torques = axes
+    b_texts, z_texts, w_texts, alpha_texts, a_texts = ([_number(v) for v in axis] for axis in axes)
+    # per (b_z, omega): delta, delta * omega, the critical test, omega_sq on the surface
+    # (PseudoHermitianRabi.omega_sq) and the fields they give
+    drives = [
+        (z, w, d, d * w, _is_critical(d, w, z, tol), _number(max(-d * w, 0.0)),
+         f'"b_z": {zt}, "cond_residual": %s, "delta": {_number(d)}, "omega": {wt}, "omega_sq": %s')
+        for z, zt in zip(zs, z_texts)
+        for w, wt in zip(ws, w_texts)
+        for d in [z - w]
+    ]
+    suppression = [None] * (len(drives) * len(alphas))  # suppression_b texts, filled on first use
+    for b, b_text in zip(bs, b_texts):
+        b_sq = b**2
+        for n, (z, w, d, dw, critical, omega_sq, drive_fields) in enumerate(drives):
+            d_sq, w_sq = d**2, w**2
+            rabi_freq_sq = b_sq + d_sq
+            fields = (f'"b": {b_text}, {drive_fields}, "rabi_freq_sq": {_number(rabi_freq_sq)}, '
+                      '"regime": "%s", ')
+            for l, (alpha, alpha_text) in enumerate(zip(alphas, alpha_texts), n * len(alphas)):
+                alpha_sq, aw_sq = alpha**2, (alpha * w) ** 2
+                # ph_condition_residual: rabi_freq_sq - (alpha omega)^2 + delta omega (1 - alpha^2)
+                residual = rabi_freq_sq - aw_sq + dw * (1.0 - alpha_sq)
+                on_surface = _surface_error(residual, dw, b_sq, d_sq, w_sq, aw_sq, tol) is None
+                if alpha == 0.0 or critical:  # classify_regime's order
+                    regime = REGIME_HERMITIAN if alpha == 0.0 else REGIME_CRITICAL
+                else:
+                    regime = REGIME_PSEUDO_HERMITIAN if on_surface else REGIME_NON_PSEUDO_HERMITIAN
+                if suppression[l] is None:
+                    try:
+                        suppression[l] = _number(solve_suppression_B(z, w, alpha))
+                    except PseudospinError:
+                        suppression[l] = "null"
+                head = f'"alpha": {alpha_text}, ' + fields % (
+                    _number(residual), omega_sq if on_surface else "null", regime
+                )
+                tail = f'"suppression_b": {suppression[l]}}}\n'
+                for a, a_text in zip(torques, a_texts):
+                    if a == 0.0:
+                        yield f'{{"a": {a_text}, {head}{tail}'
+                    else:
+                        sv = ph_condition_residual_spin_valve(RabiParameters(b, z, w, alpha, a))
+                        yield f'{{"a": {a_text}, {head}"spin_valve_residual": {_number(sv)}, {tail}'
 
 
 def _run_rabi(scenario, tol, step):
@@ -363,7 +408,8 @@ def _run_rabi(scenario, tol, step):
         alpha=_parse_real(scenario.get("alpha", 0.0), "alpha"),
         a=_parse_real(scenario.get("a", 0.0), "a"),
     )
-    payload = _rabi_point(p, tol)
+    # a one-point grid: the record is that point's sweep line, read back
+    payload = json.loads(next(_sweep_lines([[p.b], [p.b_z], [p.omega], [p.alpha], [p.a]], tol)))
     files = {"rabi.json": payload}
     amplitude = None
     if p.alpha == 0.0:
@@ -442,13 +488,7 @@ def _run_sweep(scenario, tol, step):
         else:
             raise ValidationError(f"sweep needs {name!r} in the grid or as a scalar")
     count = _check_count(math.prod(len(axis) for axis in axes.values()), "grid")
-    records = (
-        _rabi_point(RabiParameters(b=b, b_z=b_z, omega=omega, alpha=alpha, a=a), tol)
-        for b, b_z, omega, alpha, a in itertools.product(
-            axes["b"], axes["b_z"], axes["omega"], axes["alpha"], axes["a"]
-        )
-    )
-    return {"sweep.jsonl": records, "sweep.json": {"points": count}}
+    return {"sweep.jsonl": _sweep_lines(list(axes.values()), tol), "sweep.json": {"points": count}}
 
 
 # kind -> handler(scenario, tol, step) returning {file name: content}, its report included

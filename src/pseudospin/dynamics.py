@@ -12,6 +12,7 @@ together.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,6 +193,10 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     missing = [name for name, value in needs.items() if value is None]
     if missing:
         raise ValidationError(f"bloch model {model!r} needs {', '.join(missing)}")
+    for name in ("alpha", "a"):
+        value = needs.get(name, 0.0)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValidationError(f"{name}: expected a finite real number, got {value!r}")
     if np.any(f.imag != 0.0):
         raise ValidationError(f"bloch model {model!r} needs a real field")
     b = f.real
@@ -200,9 +205,11 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     if model == "llg":
         return (lambda _t, n: _gilbert3(n, bl, alpha)), gilbert
     p = np.asarray(polarization, dtype=float)
+    if p.shape != (3,):
+        raise ValidationError(f"polarization: expected shape (3,), got {p.shape}")
     if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
         raise ValidationError("polarization direction must be a unit vector")
-    pl = p.reshape(3).tolist()
+    pl = p.tolist()
     return (lambda _t, n: _spin_torque3(n, bl, alpha, a, pl)), gilbert - 1j * a * p
 
 

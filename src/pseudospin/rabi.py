@@ -165,17 +165,37 @@ def ph_condition_residual_spin_valve(p: RabiParameters) -> float:
     return float((f * f + delta_c * delta_c).imag)
 
 
+_OFF_SURFACE = {
+    ValidationError: "parameters do not satisfy the suppression condition",
+    ImaginaryFrequencyError: "detuning on the wrong side of resonance: eigenvalues are imaginary",
+}
+
+
 def suppression_surface_error(p: RabiParameters, tol: float = 1e-10) -> PseudospinError | None:
     """None when p is on the suppression surface, else the error saying why not: ValidationError
     for |residual| > tol * scale, ImaginaryFrequencyError for delta * omega > tol * scale."""
-    scale = max(1.0, p.b**2, p.delta**2, p.omega**2, (p.alpha * p.omega) ** 2)
-    if abs(ph_condition_residual(p)) > tol * scale:
-        return ValidationError("parameters do not satisfy the suppression condition")
-    if p.delta * p.omega > tol * scale:
-        return ImaginaryFrequencyError(
-            "detuning on the wrong side of resonance: eigenvalues are imaginary"
-        )
+    d, omega = p.delta, p.omega
+    residual = ph_condition_residual(p)
+    error = _surface_error(residual, d * omega, p.b**2, d**2, omega**2, (p.alpha * omega) ** 2, tol)
+    return None if error is None else error(_OFF_SURFACE[error])
+
+
+def _surface_error(residual, delta_omega, b_sq, delta_sq, omega_sq, alpha_omega_sq, tol):
+    """The surface test on precomputed terms: None on the surface, else the error class.
+
+    The only code with the tolerance scale and the sign test; the sweep calls it once per point.
+    """
+    scale = max(1.0, b_sq, delta_sq, omega_sq, alpha_omega_sq)
+    if abs(residual) > tol * scale:
+        return ValidationError
+    if delta_omega > tol * scale:
+        return ImaginaryFrequencyError
     return None
+
+
+def _is_critical(delta, omega, b_z, tol) -> bool:
+    """Zero detuning within tolerance: classify_regime's critical test."""
+    return abs(delta) <= tol * max(1.0, abs(omega), abs(b_z))
 
 
 def classify_regime(p: RabiParameters, tol: float = 1e-10) -> str:
@@ -184,7 +204,7 @@ def classify_regime(p: RabiParameters, tol: float = 1e-10) -> str:
     PseudoHermitianRabi accepts p) or non-pseudo-Hermitian."""
     if p.alpha == 0.0:
         return REGIME_HERMITIAN
-    if abs(p.delta) <= tol * max(1.0, abs(p.omega), abs(p.b_z)):
+    if _is_critical(p.delta, p.omega, p.b_z, tol):
         return REGIME_CRITICAL
     if suppression_surface_error(p, tol) is None:
         return REGIME_PSEUDO_HERMITIAN

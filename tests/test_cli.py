@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -16,9 +18,18 @@ import pseudospin
 from pseudospin import cli
 from pseudospin.cli import KINDS, emit_trajectory, main, read_trajectory
 from pseudospin.dynamics import Trajectory, evolve_trajectory
-from pseudospin.exceptions import NonPseudoHermitianError, ValidationError
+from pseudospin.exceptions import NonPseudoHermitianError, PseudospinError, ValidationError
 from pseudospin.linalg import hamiltonian_from_field
 from pseudospin.metric import canonical_limit_field
+from pseudospin.rabi import (
+    PseudoHermitianRabi,
+    RabiParameters,
+    classify_regime,
+    ph_condition_residual,
+    ph_condition_residual_spin_valve,
+    solve_suppression_B,
+    suppression_surface_error,
+)
 
 RNG = np.random.default_rng(5)
 
@@ -284,6 +295,97 @@ def test_sweep_classification(tmp_path):
     assert reference["omega_sq"] == pytest.approx(2.0)
     assert all(r["regime"] == "hermitian" for r in records if r["alpha"] == 0.0)
     assert all(r["regime"] == "critical" for r in records if r["alpha"] != 0 and r["b_z"] == 2.0)
+
+
+def _reference_record(b, b_z, omega, alpha, a, tol=1e-10) -> dict:
+    """A sweep record from the public rabi functions, one point at a time."""
+    p = RabiParameters(b, b_z, omega, alpha, a)
+    on_surface = suppression_surface_error(p, tol) is None
+    try:
+        suppression_b = solve_suppression_B(b_z, omega, alpha)
+    except PseudospinError:
+        suppression_b = None
+    record = {
+        "b": b, "b_z": b_z, "omega": omega, "alpha": alpha, "a": a, "delta": p.delta,
+        "rabi_freq_sq": p.rabi_freq_sq, "cond_residual": ph_condition_residual(p),
+        "regime": classify_regime(p, tol), "suppression_b": suppression_b,
+        "omega_sq": PseudoHermitianRabi(p, tolerance=tol).omega_sq if on_surface else None,
+    }
+    if a != 0.0:
+        record["spin_valve_residual"] = ph_condition_residual_spin_valve(p)
+    return record
+
+
+def _run_in_tmp(kind, scenario) -> dict:
+    """Run one scenario in a fresh directory; its exit code and output files as text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code = cli.run(kind, path, Path(tmp) / "out")
+        return {"code": code, **{f.name: f.read_text() for f in (Path(tmp) / "out").iterdir()}}
+
+
+SMALL = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def band_grids(draw):
+    """A sweep scenario whose b axis holds a solved b and points in its tolerance band, next to
+    signed zeros, critical drives (b_z = omega), alpha = 0 and linspace (np.float64) axes."""
+    omega = draw(st.floats(0.05, 3.0))
+    b_z = draw(st.floats(0.02, 0.98)) * omega
+    alpha = draw(st.floats(0.05, 3.0))
+    b_star = solve_suppression_B(b_z, omega, alpha)
+    offsets = draw(st.lists(st.floats(-11.5, -8.5).map(lambda e: 10.0**e), max_size=2))
+    bs = [b_star] + [b_star * (1.0 + s * e) for s, e in zip([-1.0, 1.0], offsets)]
+    axes = {
+        "b": bs + draw(st.lists(st.sampled_from([0.0, -0.0]) | SMALL, max_size=1)),
+        "b_z": [b_z] + draw(st.lists(st.sampled_from([omega, -0.0]) | SMALL, max_size=1)),
+        "omega": [omega] + draw(st.lists(st.sampled_from([b_z, -0.0]) | SMALL, max_size=1)),
+        "alpha": [alpha] + draw(st.lists(st.sampled_from([0.0, -0.0, -alpha]) | SMALL, max_size=2)),
+        "a": draw(st.lists(st.sampled_from([0.0, -0.0, 0.05]) | SMALL, min_size=1, max_size=2)),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(axes)), max_size=2, unique=True)):
+        start, stop = sorted(draw(st.tuples(SMALL, SMALL)))
+        axes[name] = {"start": start, "stop": stop, "num": draw(st.integers(1, 3))}
+    return {"kind": "sweep", "grid": axes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(band_grids())
+def test_sweep_lines_equal_json_dumps_of_scalar_records(scenario):
+    out = _run_in_tmp("sweep", scenario)
+    assert out["code"] == 0, out
+    axes = [  # a linspace axis holds np.float64 values, as the CLI's does
+        list(np.linspace(axis["start"], axis["stop"], axis["num"])) if isinstance(axis, dict) else axis
+        for axis in map(scenario["grid"].get, ("b", "b_z", "omega", "alpha", "a"))
+    ]
+    refs = [_reference_record(*point) for point in itertools.product(*axes)]
+    expected = "".join(json.dumps(ref, sort_keys=True, allow_nan=False) + "\n" for ref in refs)
+    assert out["sweep.jsonl"] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega=st.floats(0.05, 3.0),
+    ratio=st.floats(0.02, 1.5),  # b_z / omega: either side of resonance, 1 is critical
+    alpha=st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0),
+    exponent=st.floats(-11.5, -8.5),
+    sign=st.sampled_from([-1.0, 0.0, 1.0]),
+    a=st.sampled_from([0.0, -0.0, 0.05]),
+)
+def test_rabi_record_is_its_one_point_sweep_line(omega, ratio, alpha, exponent, sign, a):
+    b_z = ratio * omega
+    try:
+        b = solve_suppression_B(b_z, omega, alpha) * (1.0 + sign * 10.0**exponent)
+    except PseudospinError:
+        b = 1.0
+    point = {"b": b, "b_z": b_z, "omega": omega, "alpha": alpha, "a": a}
+    rabi = _run_in_tmp("rabi", point)
+    sweep = _run_in_tmp("sweep", {"grid": {k: [v] for k, v in point.items()}})
+    record = json.loads(rabi["rabi.json"])
+    del record["amplitude_form"]
+    assert json.dumps(record, sort_keys=True) + "\n" == sweep["sweep.jsonl"]
 
 
 @pytest.mark.parametrize(

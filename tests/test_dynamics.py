@@ -472,6 +472,8 @@ def test_model_table_rejects_unknown_model_and_polarization():
         bloch_model("gilbert", [0.0, 0.0, 1.0], 0.1)
     with pytest.raises(ValidationError, match="unit vector"):
         bloch_model("llg_spin_valve", [0.0, 0.0, 1.0], 0.1, 0.05, [0.0, 0.0, 2.0])
+    with pytest.raises(ValidationError, match="alpha: expected a finite real number, got inf"):
+        bloch_model("llg", [0.0, 0.0, 1.0], float("inf"))
 
 
 @pytest.mark.parametrize(
@@ -502,9 +504,14 @@ AXIS = [0.0, 0.0, 1.0]
         (lambda n: rhs_llg(n, AXIS, None), "'llg' needs alpha"),
         (lambda n: rhs_llg_spin_torque(n, AXIS, None, 0.05, AXIS), "needs alpha"),
         (lambda n: rhs_llg_spin_torque(n, AXIS, 0.1, None, AXIS), "needs a$"),
+        (lambda n: rhs_llg(n, AXIS, float("nan")), "alpha: expected a finite real number"),
+        (lambda n: rhs_llg_spin_torque(n, AXIS, 0.1, 0.05j, AXIS), "a: expected a finite real"),
+        (lambda n: rhs_llg_spin_torque(n, AXIS, 0.1, 0.05, [1.0, 0.0]),
+         r"polarization: expected shape \(3,\), got \(2,\)"),
     ],
     ids=["llg-complex-field", "spin-valve-complex-field", "llg-alpha-none",
-         "spin-valve-alpha-none", "spin-valve-a-none"],
+         "spin-valve-alpha-none", "spin-valve-a-none", "llg-alpha-nan", "spin-valve-a-complex",
+         "spin-valve-polarization-2-vector"],
 )
 def test_public_rhs_refuses_what_the_model_table_refuses(n, call, message):
     # the public rhs_* are views of bloch_model: same refusals, same ValidationError

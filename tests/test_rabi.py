@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudospin import field_square, hamiltonian_from_field, inner
-from pseudospin.cli import _rabi_point
+from pseudospin.cli import _sweep_lines
 from pseudospin.dynamics import evolve_state
 from pseudospin.exceptions import (
     ImaginaryFrequencyError,
@@ -399,16 +401,22 @@ def test_nonrotating_hamiltonians_undamped_limit_is_lab_drive():
 
 
 def _surface_verdicts(p: RabiParameters) -> tuple:
-    """(regime says suppressed, CLI omega_sq non-null, PseudoHermitianRabi constructs)."""
+    """(regime says suppressed, PseudoHermitianRabi constructs, and for the CLI sweep's record of
+    p, taken from a grid that also holds alpha = 0 and 2 b: regime says suppressed, omega_sq
+    non-null)."""
     try:
         PseudoHermitianRabi(p)
         constructs = True
     except (ValidationError, ImaginaryFrequencyError):
         constructs = False
+    lines = list(_sweep_lines([[p.b, 2.0 * p.b], [p.b_z], [p.omega], [0.0, p.alpha], [p.a]], 1e-10))
+    record = json.loads(lines[1])
+    assert (record["b"], record["alpha"]) == (p.b, p.alpha)
     return (
         classify_regime(p) == "pseudo_hermitian",
-        _rabi_point(p, 1e-10)["omega_sq"] is not None,
         constructs,
+        record["regime"] == "pseudo_hermitian",
+        record["omega_sq"] is not None,
     )
 
 
