@@ -144,9 +144,10 @@ def _json_default(obj):
 
 # built once: json.dumps would construct an encoder per report
 _JSON_REPORT = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False, indent=2)
-# CSV rows per format call.  One call over a whole table holds a Python float per
-# cell: a 10^6-sample bloch run peaked at 671 MB RSS that way, 377 MB in blocks.
-_CSV_BLOCK = 4096
+# CSV rows per format call and JSON lines per join.  One call over a whole table holds a
+# Python float per cell: a 10^6-sample bloch run peaked at 671 MB RSS that way, 377 MB in
+# blocks.  A str per sweep line until the end holds 49 B of header each.
+_BLOCK = 4096
 
 
 def _encode(name: str, content) -> str:
@@ -155,13 +156,16 @@ def _encode(name: str, content) -> str:
         if name.endswith(".json"):
             return _JSON_REPORT.encode(content) + "\n"
         if name.endswith(".jsonl"):  # lines of _sweep_lines, checked one by one as they come
-            lines = []
+            blocks, block = [], []
             for line in content:
                 # NaN and Infinity are the only capital letters such a line can hold
                 if "N" in line or "I" in line:
                     raise ValueError("Out of range float values are not JSON compliant")
-                lines.append(line)
-            return "".join(lines)
+                block.append(line)
+                if len(block) == _BLOCK:
+                    blocks.append("".join(block))
+                    block = []
+            return "".join(blocks + ["".join(block)])
     except ValueError as exc:  # allow_nan=False: Infinity and NaN are not JSON
         raise ValidationError(f"result is not finite: {exc}") from exc
     header, columns = content
@@ -170,7 +174,7 @@ def _encode(name: str, content) -> str:
         raise ValidationError(f"result is not finite: {name} has a non-finite entry")
     # one format call per block of rows: %.17g gives the same bytes for a float and an np.float64
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    blocks = (table[i : i + _CSV_BLOCK] for i in range(0, len(table), _CSV_BLOCK))
+    blocks = (table[i : i + _BLOCK] for i in range(0, len(table), _BLOCK))
     return header + "\n" + "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
