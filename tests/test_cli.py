@@ -718,10 +718,19 @@ def test_csv_encode_matches_per_cell_formatting(table):
 
 
 def test_csv_encode_matches_per_cell_formatting_across_blocks():
-    rows = 2 * cli._CSV_BLOCK + 3
+    rows = 2 * cli._BLOCK + 3
     table = RNG.standard_normal((rows, 3)) * 10.0 ** RNG.integers(-300, 300, (rows, 3))
     table[::7, 1] = -0.0
     assert cli._encode("t.csv", ("h", list(table.T))) == _csv_reference(table)
+
+
+def test_jsonl_encode_joins_every_line_across_blocks():
+    axes = [list(np.linspace(0.5, 1.5, 2 * cli._BLOCK + 3)), [1.0], [2.0], [0.0, 0.5], [0.0]]
+    lines = list(cli._sweep_lines(axes, 1e-10))
+    assert cli._encode("sweep.jsonl", iter(lines)) == "".join(lines)
+    message = "^result is not finite: Out of range float values are not JSON compliant$"
+    with pytest.raises(ValidationError, match=message):  # json's C encoder's words, no value
+        cli._encode("sweep.jsonl", iter(lines[:-1] + [lines[-1].replace("0.5", "NaN", 1)]))
 
 
 @settings(max_examples=50, deadline=None)
