@@ -146,7 +146,7 @@ def _json_default(obj):
 _JSON_REPORT = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False, indent=2)
 # CSV rows per format call and JSON lines per join.  One call over a whole table holds a
 # Python float per cell: a 10^6-sample bloch run peaked at 671 MB RSS that way, 377 MB in
-# blocks.  A str per sweep line until the end holds 49 B of header each.
+# blocks.  Holding a str per sweep line until the end costs about 49 B of header a line.
 _BLOCK = 4096
 
 
@@ -155,10 +155,13 @@ def _encode(name: str, content) -> str:
     try:
         if name.endswith(".json"):
             return _JSON_REPORT.encode(content) + "\n"
-        if name.endswith(".jsonl"):  # lines of _sweep_lines, checked one by one as they come
+        # lines of _sweep_lines, each checked as it comes, so that the first bad point decides:
+        # a non-finite line is refused before a later point raises an OverflowError
+        if name.endswith(".jsonl"):
             blocks, block = [], []
             for line in content:
-                # NaN and Infinity are the only capital letters such a line can hold
+                # NaN and Infinity are the only capital letters such a line can hold; the
+                # message is the one json's C encoder gives for them with allow_nan=False
                 if "N" in line or "I" in line:
                     raise ValueError("Out of range float values are not JSON compliant")
                 block.append(line)
@@ -378,7 +381,7 @@ def _sweep_lines(axes, tol):
             rabi_freq_sq = b_sq + d_sq
             fields = (f'"b": {b_text}, {drive_fields}, "rabi_freq_sq": {_number(rabi_freq_sq)}, '
                       '"regime": "%s", ')
-            for l, (alpha, alpha_text) in enumerate(zip(alphas, alpha_texts), n * len(alphas)):
+            for k, (alpha, alpha_text) in enumerate(zip(alphas, alpha_texts), n * len(alphas)):
                 alpha_sq, aw_sq = alpha**2, (alpha * w) ** 2
                 # ph_condition_residual: rabi_freq_sq - (alpha omega)^2 + delta omega (1 - alpha^2)
                 residual = rabi_freq_sq - aw_sq + dw * (1.0 - alpha_sq)
@@ -387,15 +390,15 @@ def _sweep_lines(axes, tol):
                     regime = REGIME_HERMITIAN if alpha == 0.0 else REGIME_CRITICAL
                 else:
                     regime = REGIME_PSEUDO_HERMITIAN if on_surface else REGIME_NON_PSEUDO_HERMITIAN
-                if suppression[l] is None:
+                if suppression[k] is None:
                     try:
-                        suppression[l] = _number(solve_suppression_B(z, w, alpha))
+                        suppression[k] = _number(solve_suppression_B(z, w, alpha))
                     except PseudospinError:
-                        suppression[l] = "null"
+                        suppression[k] = "null"
                 head = f'"alpha": {alpha_text}, ' + fields % (
                     _number(residual), omega_sq if on_surface else "null", regime
                 )
-                tail = f'"suppression_b": {suppression[l]}}}\n'
+                tail = f'"suppression_b": {suppression[k]}}}\n'
                 for a, a_text in zip(torques, a_texts):
                     if a == 0.0:
                         yield f'{{"a": {a_text}, {head}{tail}'

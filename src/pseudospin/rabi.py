@@ -183,7 +183,7 @@ def suppression_surface_error(p: RabiParameters, tol: float = 1e-10) -> Pseudosp
 def _surface_error(residual, delta_omega, b_sq, delta_sq, omega_sq, alpha_omega_sq, tol):
     """The surface test on precomputed terms: None on the surface, else the error class.
 
-    The only code with the tolerance scale and the sign test; the sweep calls it once per point.
+    The only code with the tolerance scale and the sign test; a sweep calls it once per point.
     """
     scale = max(1.0, b_sq, delta_sq, omega_sq, alpha_omega_sq)
     if abs(residual) > tol * scale:
