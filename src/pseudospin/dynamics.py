@@ -177,8 +177,9 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     complex field under which the model is damped precession: the field F
     itself for "damped" (alias "precession"), b / (1 - i alpha) for the
     Gilbert form "llg" with real field b, and that minus i a P for
-    "llg_spin_valve".  A parameter the model needs and did not get (None)
-    is a ValidationError; one it does not take is ignored.
+    "llg_spin_valve".  A parameter the model needs and did not get (None),
+    a non-finite or non-real alpha or a, and a polarization whose shape is
+    not (3,) are ValidationErrors; a parameter it does not take is ignored.
     """
     f = as_field(field)
     if model in ("damped", "precession"):
