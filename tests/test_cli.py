@@ -365,6 +365,20 @@ def test_sweep_lines_equal_json_dumps_of_scalar_records(scenario):
     assert out["sweep.jsonl"] == expected
 
 
+def test_sweep_squares_are_python_pow_on_many_axis_values():
+    # x * x differs from Python's x**2 in about 0.1% of doubles: each grid isolates one square
+    values = RNG.uniform(-3.0, 3.0, 4000).tolist()
+    for axes in (
+        [values, [0.7], [0.7], [0.5], [0.0]],  # delta = 0: rabi_freq_sq = b^2
+        [[0.0], values, [0.7], [0.5], [0.0]],  # b = 0: rabi_freq_sq = delta^2
+        [[0.0], [0.7], [0.7], values, [0.0]],  # delta = 0: cond_residual = -(alpha omega)^2
+    ):
+        for line in cli._sweep_lines(axes, 1e-10):
+            r = json.loads(line)
+            p = RabiParameters(r["b"], r["b_z"], r["omega"], r["alpha"])
+            assert (r["rabi_freq_sq"], r["cond_residual"]) == (p.rabi_freq_sq, ph_condition_residual(p))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     omega=st.floats(0.05, 3.0),
