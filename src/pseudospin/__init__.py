@@ -47,7 +47,6 @@ from .linalg import (
     field_square,
     hamiltonian_from_field,
     inner,
-    norm,
     pauli_compose,
     pauli_decompose,
     principal_sqrt,

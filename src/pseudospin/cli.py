@@ -230,11 +230,10 @@ def read_trajectory(path):
 # ----------------------------------------------------------------- metric aid
 
 
-def _metric_inputs(scenario: dict, tol: float):
-    field = _parse_vector(_require(scenario, "field"), "field", 3)
+def _real_field(scenario: dict, field: np.ndarray, tol: float) -> np.ndarray:
+    """The real field paired with the parsed field: b_field, the alpha limit, or a real field."""
     if "b_field" in scenario:
-        real_field = _parse_vector(scenario["b_field"], "b_field", 3)
-        return field, real_field
+        return _parse_vector(scenario["b_field"], "b_field", 3)
     if "alpha" in scenario:
         alpha = _parse_real(scenario["alpha"], "alpha")
         if alpha == 0.0:
@@ -243,9 +242,9 @@ def _metric_inputs(scenario: dict, tol: float):
         def family(a):
             return field.real + 1j * (a / alpha) * field.imag
 
-        return field, canonical_limit_field(family, alpha, tol).astype(complex)
+        return canonical_limit_field(family, alpha, tol).astype(complex)
     if np.max(np.abs(field.imag)) < tol:
-        return field, field.real.astype(complex)
+        return field.real.astype(complex)
     raise ValidationError("metric construction needs b_field or alpha for a complex field")
 
 
@@ -267,7 +266,8 @@ def _run_check(scenario, tol, step):
 
 
 def _run_metric(scenario, tol, step):
-    field, real_field = _metric_inputs(scenario, tol)
+    field = _parse_vector(_require(scenario, "field"), "field", 3)
+    real_field = _real_field(scenario, field, tol)
     pair = build_isometry(field, real_field, tol)
     rotation = canonical_rotation(field, real_field, tol)
     h_f = hamiltonian_from_field(field)
@@ -298,8 +298,7 @@ def _run_evolve(scenario, tol, step):
     if metric_tag == "canonical":
         traj = evolve_trajectory(h, psi0, grid)
     elif metric_tag == "eta":
-        _, real_field = _metric_inputs(scenario, tol)
-        pair = build_isometry(field, real_field, tol)
+        pair = build_isometry(field, _real_field(scenario, field, tol), tol)
         traj = evolve_trajectory(
             h,
             psi0,

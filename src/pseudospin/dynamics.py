@@ -95,13 +95,11 @@ def _cross3(u, v) -> tuple:
     return (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
 
 
-def _split(x) -> tuple | list:
-    """A real (3,) vector as three Python floats, anything else (..., 3) as its three columns."""
+def _split(x) -> tuple:
+    """A (3,) vector or a stack (..., 3) as its three columns (scalars for one vector)."""
     x = np.asarray(x)
     if x.shape[-1:] != (3,):
         raise ValueError(f"expected 3-vectors, got shape {x.shape}")
-    if x.shape == (3,) and x.dtype == np.float64:  # not complex: Python's signed zeros differ
-        return x.tolist()
     return x[..., 0], x[..., 1], x[..., 2]
 
 
@@ -117,7 +115,7 @@ def _cross(u, v) -> np.ndarray:
 
 def _rate_at(n, model: tuple) -> np.ndarray:
     """The rate of a bloch_model (rate, F_eq) pair at a real vector n (3,) or a stack (..., 3)."""
-    return _join(model[0](0.0, _split(np.asarray(n, dtype=float))))
+    return _join(model[0](_split(np.asarray(n, dtype=float))))
 
 
 # Rates of the bloch models on component triples n, one formula each; only bloch_model picks them.
@@ -172,19 +170,19 @@ def rhs_llg_spin_torque(n, real_field, alpha: float, a: float, polarization) -> 
 def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     """(rate, F_eq) of one bloch model; the one place that knows the models and their parameters.
 
-    rate(t, n) takes n as three floats (or three component arrays) and
-    returns its three components, for integrate.  F_eq is the constant
-    complex field under which the model is damped precession: the field F
-    itself for "damped" (alias "precession"), b / (1 - i alpha) for the
-    Gilbert form "llg" with real field b, and that minus i a P for
-    "llg_spin_valve".  A parameter the model needs and did not get (None),
+    Every model is autonomous: rate(n) takes n as three floats (or three
+    component arrays) and returns its three components, for integrate.
+    F_eq is the constant complex field under which the model is damped
+    precession: the field F itself for "damped" (alias "precession"),
+    b / (1 - i alpha) for the Gilbert form "llg" with real field b, and
+    that minus i a P for "llg_spin_valve".  A parameter the model needs and did not get (None),
     a non-finite or non-real alpha or a, and a polarization whose shape is
     not (3,) are ValidationErrors; a parameter it does not take is ignored.
     """
     f = as_field(field)
     if model in ("damped", "precession"):
         fr, fi = f.real.tolist(), f.imag.tolist()
-        return (lambda _t, n: _damped3(n, fr, fi)), f
+        return (lambda n: _damped3(n, fr, fi)), f
     if model == "llg":
         needs = {"alpha": alpha}
     elif model == "llg_spin_valve":
@@ -204,14 +202,14 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     gilbert = b / (1.0 - 1j * alpha)
     bl = b.tolist()
     if model == "llg":
-        return (lambda _t, n: _gilbert3(n, bl, alpha)), gilbert
+        return (lambda n: _gilbert3(n, bl, alpha)), gilbert
     p = np.asarray(polarization, dtype=float)
     if p.shape != (3,):
         raise ValidationError(f"polarization: expected shape (3,), got {p.shape}")
     if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
         raise ValidationError("polarization direction must be a unit vector")
     pl = p.tolist()
-    return (lambda _t, n: _spin_torque3(n, bl, alpha, a, pl)), gilbert - 1j * a * p
+    return (lambda n: _spin_torque3(n, bl, alpha, a, pl)), gilbert - 1j * a * p
 
 
 @dataclass
@@ -245,10 +243,10 @@ def _uniform_step(t_grid: np.ndarray) -> float:
     return float(h)
 
 
-def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
-    """Classical fixed-step RK4 on n' = rhs(t, n).
+def integrate(rate, n0, t_grid, renormalize: bool = False) -> Trajectory:
+    """Classical fixed-step RK4 on the autonomous ODE n' = rate(n).
 
-    rhs receives n as a tuple of three floats and returns its three real
+    rate receives n as a tuple of three floats and returns its three real
     components (any 3-sequence, an ndarray included); bloch_model builds
     such rates.  The state is stepped on Python floats, with the stage
     arithmetic of the array form n + (h/2) k.  Norms are sqrt(v.dot(v))
@@ -280,13 +278,11 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
     states[0] = n
     raw[0] = projected[0] = norm
     half, sixth = 0.5 * h, h / 6.0
-    times = t.tolist()
     for k in range(len(t) - 1):
-        tk = times[k]
-        a1, a2, a3 = rhs(tk, (x, y, z))
-        b1, b2, b3 = rhs(tk + half, (x + half * a1, y + half * a2, z + half * a3))
-        c1, c2, c3 = rhs(tk + half, (x + half * b1, y + half * b2, z + half * b3))
-        d1, d2, d3 = rhs(tk + h, (x + h * c1, y + h * c2, z + h * c3))
+        a1, a2, a3 = rate((x, y, z))
+        b1, b2, b3 = rate((x + half * a1, y + half * a2, z + half * a3))
+        c1, c2, c3 = rate((x + half * b1, y + half * b2, z + half * b3))
+        d1, d2, d3 = rate((x + h * c1, y + h * c2, z + h * c3))
         x = x + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
         y = y + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
         z = z + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
@@ -295,7 +291,7 @@ def integrate(rhs, n0, t_grid, renormalize: bool = False) -> Trajectory:
         drift = abs(raw_norm - norm)
         if not drift <= 0.01:  # NaN fails this test too
             raise StepTooLargeError(
-                f"norm drifted by {drift:.3g} in one step at t={tk:.6g}; reduce the step"
+                f"norm drifted by {drift:.3g} in one step at t={t[k]:.6g}; reduce the step"
             )
         norm = raw_norm
         if renormalize:

@@ -229,13 +229,13 @@ def substitute(f: GrassmannElement, matrix) -> GrassmannElement:
     return GrassmannElement(terms.sum(axis=0))
 
 
-def _require_orthogonal(rotation, tol: float = 1e-10) -> np.ndarray:
+def _require_orthogonal(rotation) -> np.ndarray:
     r = np.asarray(rotation, dtype=complex).reshape(3, 3)
     if not np.isfinite(r).all():
         raise ValidationError("matrix is not complex-orthogonal: it has a non-finite entry")
     with np.errstate(over="ignore", invalid="ignore"):  # entries past 1e154 overflow r r^T
         residual = np.linalg.norm(r @ r.T - np.eye(3))
-        bound = tol * max(1.0, np.linalg.norm(r) ** 2)
+        bound = 1e-10 * max(1.0, np.linalg.norm(r) ** 2)
     if not residual <= bound < np.inf:  # a NaN residual or an overflowed bound fails too
         raise ValidationError("matrix is not complex-orthogonal")
     return r
@@ -258,7 +258,7 @@ def involution_plus(g: GrassmannElement, rotation) -> GrassmannElement:
     are exactly the pushforwards of star-real elements.
     """
     r = _require_orthogonal(rotation)
-    return pushforward(involution_star(pullback(g, r)), r)
+    return substitute(involution_star(substitute(g, r)), r.T)
 
 
 def right_derivative(f: GrassmannElement, i: int) -> GrassmannElement:

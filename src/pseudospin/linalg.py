@@ -119,7 +119,7 @@ def spectrum(op, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
     return e_plus, -e_plus
 
 
-def evolve_operator(op, t: float | np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def evolve_operator(op, t: float | np.ndarray) -> np.ndarray:
     """exp(-i H t) for traceless H, in closed form, for t of any shape -> (..., 2, 2).
 
     Uses exp(-iHt) = cos(Et/2) I - i sin(Et/2) (2H)/E with E = 2 E+.  At the
@@ -127,7 +127,7 @@ def evolve_operator(op, t: float | np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     series truncates to I - i H t exactly.
     """
     h = as_operator(op)
-    e_plus, _ = spectrum(h, tol)
+    e_plus, _ = spectrum(h)
     e = 2.0 * e_plus
     t = np.asarray(t, dtype=float)[..., None, None]
     if e == 0.0:
@@ -136,29 +136,23 @@ def evolve_operator(op, t: float | np.ndarray, tol: float = DEFAULT_TOL) -> np.n
     return np.cos(half) * IDENTITY2 + (-1.0j * np.sin(half) * 2.0 / e) * h
 
 
-def validate_metric(eta, tol: float = 1e-10) -> np.ndarray:
+def validate_metric(eta) -> np.ndarray:
     """Check that eta is Hermitian positive-definite; return the Hermitized copy."""
     m = as_operator(eta)
     scale = max(np.linalg.norm(m), 1e-300)
-    if np.linalg.norm(m - m.conj().T) > tol * max(scale, 1.0):
+    if np.linalg.norm(m - m.conj().T) > 1e-10 * max(scale, 1.0):
         raise InvalidMetricError("metric is not Hermitian within tolerance")
     sym = 0.5 * (m + m.conj().T)
     eigs = np.linalg.eigvalsh(sym)
-    if np.min(eigs) <= tol * scale * 1e-6 or np.min(eigs) <= 0.0:
+    if np.min(eigs) <= 1e-10 * scale * 1e-6 or np.min(eigs) <= 0.0:
         raise InvalidMetricError(f"metric eigenvalues {eigs} are not all positive")
     return sym
 
 
-def inner(x, y, eta=None, tol: float = 1e-10) -> complex:
+def inner(x, y, eta=None) -> complex:
     """Sesquilinear inner product <x, y> or <x, eta y> (conjugate-linear in x)."""
     xv, yv = as_state(x), as_state(y)
     if eta is None:
         return complex(np.vdot(xv, yv))
-    m = validate_metric(eta, tol)
+    m = validate_metric(eta)
     return complex(np.vdot(xv, m @ yv))
-
-
-def norm(x, eta=None, tol: float = 1e-10) -> float:
-    """Norm under the canonical or eta inner product."""
-    val = inner(x, x, eta, tol)
-    return float(np.sqrt(max(val.real, 0.0)))

@@ -110,7 +110,7 @@ def canonical_limit_field(
     return float(np.sqrt(max(sq.real, 0.0))) / scale0 * f0.real
 
 
-def eigenpairs_complex(field, tol: float = REAL_TOL):
+def eigenpairs_complex(field):
     """Unnormalized eigenvectors ((f3 +- E)/f1, 1) with eigenvalues +-E/2.
 
     E = sqrt(f1^2 + f3^2) on the principal branch.  The closed form divides
@@ -118,9 +118,9 @@ def eigenpairs_complex(field, tol: float = REAL_TOL):
     """
     f = as_field(field)
     scale = max(np.linalg.norm(f), 1.0)
-    if abs(f[1]) > tol * scale:
+    if abs(f[1]) > REAL_TOL * scale:
         raise PlaneRestrictionViolatedError("second field component must vanish")
-    if abs(f[0]) <= tol * scale:
+    if abs(f[0]) <= REAL_TOL * scale:
         raise SingularEigenbasisError("first field component vanishes")
     e = principal_sqrt(f[0] ** 2 + f[2] ** 2)
     plus = np.array([(f[2] + e) / f[0], 1.0], dtype=complex)

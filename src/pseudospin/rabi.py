@@ -86,12 +86,12 @@ def rotating_frame_hamiltonian(p: RabiParameters) -> np.ndarray:
     return hamiltonian_from_field(rotating_frame_field(p))
 
 
-def to_rotating_frame(h_lab, omega: float, sample_times=None, tol: float = 1e-12) -> np.ndarray:
+def to_rotating_frame(h_lab, omega: float) -> np.ndarray:
     """Transform a lab-frame Hamiltonian map t -> H(t) into the rotating frame.
 
     Returns i (dR/dt) R^(-1) + R H R^(-1) with R = exp(i omega sigma_3 t / 2),
     evaluated at t = 0, after checking that the transformed operator is in
-    fact time-independent on the sample times.
+    fact time-independent, within 1e-12 relative, at five times spread over 1.31 periods.
     """
 
     def rotated(t: float) -> np.ndarray:
@@ -99,13 +99,12 @@ def to_rotating_frame(h_lab, omega: float, sample_times=None, tol: float = 1e-12
         rz = np.diag([phase, 1.0 / phase])
         return rz @ as_operator(h_lab(t)) @ rz.conj().T - 0.5 * omega * SIGMA3
 
-    if sample_times is None:
-        period = 2.0 * np.pi / abs(omega) if omega != 0.0 else 1.0
-        sample_times = period * np.array([0.0, 0.23, 0.57, 0.89, 1.31])
+    period = 2.0 * np.pi / abs(omega) if omega != 0.0 else 1.0
+    sample_times = period * np.array([0.0, 0.23, 0.57, 0.89, 1.31])
     base = rotated(float(sample_times[0]))
     scale = max(1.0, float(np.linalg.norm(base)))
     for t in sample_times[1:]:
-        if np.linalg.norm(rotated(float(t)) - base) > tol * scale:
+        if np.linalg.norm(rotated(float(t)) - base) > 1e-12 * scale:
             raise NotRotatableError(
                 "Hamiltonian is not static in a frame rotating at this frequency"
             )
@@ -256,11 +255,11 @@ class PseudoHermitianRabi:
 
     @property
     def transverse(self) -> complex:
-        return self.params.damping_factor() * self.params.b
+        return complex(self.rotating_field()[0])
 
     @property
     def axial(self) -> complex:
-        return self.params.damping_factor() * self.params.b_z - self.params.omega
+        return complex(self.rotating_field()[2])
 
     @property
     def omega_sq(self) -> float:
@@ -273,13 +272,15 @@ class PseudoHermitianRabi:
 
     @property
     def is_critical(self) -> bool:
-        return self.params.delta == 0.0
+        """Zero detuning within tolerance, the test classify_regime makes."""
+        p = self.params
+        return _is_critical(p.delta, p.omega, p.b_z, self.tolerance)
 
     def rotating_field(self) -> np.ndarray:
-        return np.array([self.transverse, 0.0, self.axial], dtype=complex)
+        return rotating_frame_field(self.params)
 
     def hamiltonian(self) -> np.ndarray:
-        return hamiltonian_from_field(self.rotating_field())
+        return rotating_frame_hamiltonian(self.params)
 
     def b_field(self) -> np.ndarray:
         """Canonical-limit real field (Omega / Omega_R) (b, 0, delta)."""

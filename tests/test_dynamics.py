@@ -288,14 +288,14 @@ def test_integrate_pure_precession_against_analytic_solution():
     # n(t) = (cos t, sin t, 0) from n(0) = x.
     b = np.array([0.0, 0.0, 1.0])
     t = np.arange(0.0, 2.0 + 1e-12, 1e-3)
-    traj = integrate(lambda _t, n: rhs_damped_precession(n, b), [1, 0, 0], t)
+    traj = integrate(lambda n: rhs_damped_precession(n, b), [1, 0, 0], t)
     expected = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
     assert np.max(np.abs(traj.states - expected)) < 1e-8
 
 
 def test_integrate_zero_rhs_is_constant():
     t = np.linspace(0.0, 1.0, 11)
-    traj = integrate(lambda _t, n: np.zeros(3), [0, 1, 0], t)
+    traj = integrate(lambda n: np.zeros(3), [0, 1, 0], t)
     assert np.allclose(traj.states, [0, 1, 0])
     assert np.allclose(traj.norms["raw"], 1.0)
 
@@ -306,7 +306,7 @@ def test_integrate_llg_against_tanh_oracle():
     c = alpha * bz / (1 + alpha**2)
     n0 = np.array([np.sin(1.2), 0.0, np.cos(1.2)])
     t = np.arange(0.0, 5.0 + 1e-12, 1e-3)
-    traj = integrate(lambda _t, n: rhs_llg(n, [0, 0, bz], alpha), n0, t)
+    traj = integrate(lambda n: rhs_llg(n, [0, 0, bz], alpha), n0, t)
     expected = np.tanh(c * t + np.arctanh(n0[2]))
     assert np.max(np.abs(traj.states[:, 2] - expected)) < 1e-9
 
@@ -314,45 +314,45 @@ def test_integrate_llg_against_tanh_oracle():
 def test_integrate_norm_drift_small():
     f = np.array([0.4, -0.3, 0.9]) + 1j * np.array([0.2, 0.1, -0.3])
     t = np.arange(0.0, 1.0 + 1e-12, 1e-3)
-    traj = integrate(lambda _t, n: rhs_damped_precession(n, f), random_unit(RNG), t)
+    traj = integrate(lambda n: rhs_damped_precession(n, f), random_unit(RNG), t)
     assert np.max(np.abs(traj.norms["raw"] - 1.0)) < 1e-8
 
 
 def test_integrate_renormalize_projects():
     f = np.array([1.0, 0.0, 0.5 + 0.5j])
     t = np.linspace(0.0, 2.0, 201)
-    traj = integrate(lambda _t, n: rhs_damped_precession(n, f), [0, 0, 1], t, renormalize=True)
+    traj = integrate(lambda n: rhs_damped_precession(n, f), [0, 0, 1], t, renormalize=True)
     assert np.allclose(traj.norms["projected"], 1.0, atol=1e-14)
 
 
 def test_integrate_step_too_large():
     t = np.linspace(0.0, 1.0, 3)
     with pytest.raises(StepTooLargeError):
-        integrate(lambda _t, n: [5.0 * x for x in n], [1, 0, 0], t)
+        integrate(lambda n: [5.0 * x for x in n], [1, 0, 0], t)
     with pytest.raises(StepTooLargeError):  # a NaN drift is not below the threshold
-        integrate(lambda _t, n: np.full(3, np.nan), [1, 0, 0], t)
+        integrate(lambda n: np.full(3, np.nan), [1, 0, 0], t)
 
 
 def test_integrate_rejects_bad_inputs():
     with pytest.raises(ValidationError):
-        integrate(lambda _t, n: n, [2, 0, 0], np.linspace(0, 1, 5))
+        integrate(lambda n: n, [2, 0, 0], np.linspace(0, 1, 5))
     with pytest.raises(ValidationError):
-        integrate(lambda _t, n: n, [np.nan, 0, 0], np.linspace(0, 1, 5))
+        integrate(lambda n: n, [np.nan, 0, 0], np.linspace(0, 1, 5))
     with pytest.raises(ValidationError):
-        integrate(lambda _t, n: n, [[1, 0, 0]], np.linspace(0, 1, 5))
+        integrate(lambda n: n, [[1, 0, 0]], np.linspace(0, 1, 5))
     with pytest.raises(ValidationError):
-        integrate(lambda _t, n: n, [1, 0, 0], np.array([0.0, 0.1, 0.3]))
+        integrate(lambda n: n, [1, 0, 0], np.array([0.0, 0.1, 0.3]))
     with pytest.raises(ValidationError, match="at least one sample"):
-        integrate(lambda _t, n: n, [1, 0, 0], [])
+        integrate(lambda n: n, [1, 0, 0], [])
 
 
 def _public_rhs(model, b, im, alpha, a, p):
     """integrate right-hand side of one bloch model through its public rhs_* (ndarray in, out)."""
     if model == "damped":
-        return lambda _t, n: rhs_damped_precession(n, b + 1j * im)
+        return lambda n: rhs_damped_precession(n, b + 1j * im)
     if model == "llg":
-        return lambda _t, n: rhs_llg(n, b, alpha)
-    return lambda _t, n: rhs_llg_spin_torque(n, b, alpha, a, p)
+        return lambda n: rhs_llg(n, b, alpha)
+    return lambda n: rhs_llg_spin_torque(n, b, alpha, a, p)
 
 
 PINNED_B, PINNED_IM = np.array([0.3, -0.7, 1.1]), np.array([0.2, 0.1, -0.3])
@@ -457,8 +457,8 @@ def test_model_table_rate_is_bit_identical_to_reference_rk4(model, renormalize, 
 )
 def test_public_rhs_on_a_stack_equals_its_rows_and_numpy_cross(model, stack, b, im, alpha, a, p):
     rhs = _public_rhs(model, b, im, alpha, a, p)
-    stacked = rhs(0.0, stack)
-    rows = np.array([rhs(0.0, row) for row in stack])
+    stacked = rhs(stack)
+    rows = np.array([rhs(row) for row in stack])
     field = b + 1j * im if model == "damped" else b
     reference = reference_rhs(model, field, alpha, a, p)(0.0, stack)
     assert stacked.shape == stack.shape and stacked.dtype == np.float64

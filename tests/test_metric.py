@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudospin import (
     IDENTITY2,
@@ -27,7 +29,7 @@ from pseudospin.metric import (
     is_pseudo_hermitian,
 )
 
-from helpers import random_state
+from helpers import plane_rotation, random_state
 
 RNG = np.random.default_rng(7)
 
@@ -243,6 +245,33 @@ def test_isometry_preserves_inner_products():
         x, y = random_state(RNG), random_state(RNG)
         lhs = inner(pair.isometry @ x, pair.isometry @ y, pair.eta)
         assert lhs == pytest.approx(inner(x, y), abs=1e-12)
+
+
+# a nonzero real component: sign times 10^e, so |b| runs from about 1e-4 to 1e3
+SIGNED = st.builds(lambda s, e: s * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 3.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(b1=SIGNED, b3=SIGNED, re=st.floats(-np.pi, np.pi), im=st.floats(-3.0, 3.0))
+def test_isometry_and_metric_are_covariant_under_complex_plane_rotations(b1, b3, re, im):
+    # f = R(theta) b has the square-sum of b for any complex angle theta; the isometry
+    # conjugates H(b) into H(f) and H(f) is eta-Hermitian, both up to roundoff amplified
+    # by cond(M) and cond(eta) = cond(M)^2.  The rounded f misses the square-sum of b by
+    # about eps |f|^2, and the closed form turns that into an off-diagonal residual
+    # (b^2 - f^2) / (2 f1): hence the factor |f| / |f1| (b = (-1e-3, 0, -10) at
+    # theta = 1e-6 i gives 4e-12 against |H| cond(M) = 7).
+    b = np.array([b1, 0.0, b3])
+    f = plane_rotation(1, complex(re, im)) @ b
+    try:
+        pair = build_isometry(f, b)
+    except DegenerateFieldError:  # square-sum too small against the fields' scale
+        assume(False)
+    m = pair.isometry
+    hf, hb = hamiltonian_from_field(f), hamiltonian_from_field(b)
+    cond = np.linalg.cond(m)
+    scale = max(1.0, np.linalg.norm(hf), np.linalg.norm(hb)) * np.linalg.norm(f) / abs(f[0])
+    assert np.linalg.norm(m @ hb @ np.linalg.inv(m) - hf) <= 1e-13 * scale * cond
+    assert np.linalg.norm(eta_adjoint(hf, pair.eta) - hf) <= 1e-13 * scale * cond**2
 
 
 # ---------------------------------------------------------------- eta adjoint

@@ -334,6 +334,21 @@ def test_ph_amplitude_critical_point_is_silent():
     assert ph_rabi_amplitude(pr, 5.0) == 0.0
 
 
+def test_is_critical_is_the_tolerance_test_of_classify_regime():
+    p = RabiParameters(b=1.0, b_z=2.0 + 4e-12, omega=2.0, alpha=0.5)
+    assert classify_regime(p) == "critical"
+    assert PseudoHermitianRabi(p).is_critical
+
+
+def test_rotating_field_is_the_rotating_frame_field():
+    p = RabiParameters(b=1.0, b_z=2.0 + 4e-12, omega=2.0, alpha=0.5)
+    pr = PseudoHermitianRabi(p)
+    assert pr.rotating_field().tobytes() == rotating_frame_field(p).tobytes()
+    assert pr.hamiltonian().tobytes() == rotating_frame_hamiltonian(p).tobytes()
+    assert pr.transverse == p.damping_factor() * p.b
+    assert pr.axial == p.damping_factor() * p.b_z - p.omega
+
+
 def test_omega_squared_branches():
     assert omega_squared(PseudoHermitianRabi(SUPPRESSED)) == pytest.approx(2.0, abs=1e-12)
     # undamped point on the surface: omega_sq equals the Rabi frequency squared
