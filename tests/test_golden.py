@@ -4,8 +4,9 @@ Each scenario below is run through the CLI and every file it writes is
 compared by sha256 with a digest recorded from an earlier version of the
 package; the kinds with two branches (metric from alpha or from b_field,
 rabi's three amplitude forms, suppress with and without a torque, a sweep
-over a = 0 and a != 0) pin each branch, and two refusals pin their exit-3 and
-exit-2 error.json.  The sweeps also pin the per-point decisions: critical
+over a = 0 and a != 0) pin each branch, and three refusals pin their exit-3 and
+exit-2 error.json, one of them the report encoder's refusal of an inf.  The
+sweeps also pin the per-point decisions: critical
 points where a b_z and an omega axis meet, alpha of either sign and zero,
 the tolerance band either side of a solved b (and a point clamped to
 omega_sq = 0 on the imaginary side), a signed-zero a axis, and linspace
@@ -93,6 +94,11 @@ REFUSED = {
     "sweep-not-finite": (
         "sweep", {"grid": {"b": [1.3e154]}, "b_z": 1.3e154, "omega": 0.0, "alpha": 0.5}, 2,
         "51c1f8e45ea8809b508ccfae8dcdea95856f10c9d727cacfb5373690ff02e4ea",
+    ),
+    # the same point as a rabi report: the JSON report encoder refuses its inf, exit 2
+    "rabi-not-finite": (
+        "rabi", {"b": 1.3e154, "b_z": 1.3e154, "omega": 0.0, "alpha": 0.5}, 2,
+        "3e43bc4888567a5a55f61b227cd04eb802a514e5f04f37c2a16eb546067032b0",
     ),
 }
 
