@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -131,19 +133,48 @@ def _require(scenario: dict, key: str):
     return scenario[key]
 
 
-def _json_default(obj):
-    """json.dumps default= hook; json encodes its result again, so complex entries become pairs."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+def _report(value, newline: str = "\n") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False) writes it.
+
+    json takes its C encoder only without indent, so reports are encoded here, for the types
+    they hold.  The checks run in json's order (an np.float64 is a float, an np.bool_ is not a
+    bool), and what json would hand its default= hook is converted as that hook did: an
+    ndarray by tolist(), an np.generic by item(), a complex as [re, im].  newline is the line
+    break and indent that precede a closing bracket of value.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_report(v, inner) for v in value])}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_report(v, inner)}" for k, v in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(value, np.ndarray):
+        return _report(value.tolist(), newline)
+    if isinstance(value, np.generic):
+        return _report(value.item(), newline)
+    if isinstance(value, complex):
+        return _report([value.real, value.imag], newline)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-# built once: json.dumps would construct an encoder per report
-_JSON_REPORT = json.JSONEncoder(default=_json_default, sort_keys=True, allow_nan=False, indent=2)
 # CSV rows per format call and JSON lines per join.  One call over a whole table holds a
 # Python float per cell: a 10^6-sample bloch run peaked at 671 MB RSS that way, 377 MB in
 # blocks.  Holding a str per sweep line until the end costs about 49 B of header a line.
@@ -151,13 +182,14 @@ _BLOCK = 4096
 
 
 def _encode(name: str, content) -> str:
-    """File text by suffix: .json, .jsonl (iterable of lines), else (header, columns) as CSV."""
+    """File text by content: a dict is a JSON report, a (header, columns) tuple a CSV table,
+    and any other iterable the lines of a JSON-lines file."""
     try:
-        if name.endswith(".json"):
-            return _JSON_REPORT.encode(content) + "\n"
+        if isinstance(content, dict):
+            return _report(content) + "\n"
         # lines of _sweep_lines, each checked as it comes, so that the first bad point decides:
         # a non-finite line is refused before a later point raises an OverflowError
-        if name.endswith(".jsonl"):
+        if not isinstance(content, tuple):
             blocks, block = [], []
             for line in content:
                 # NaN and Infinity are the only capital letters such a line can hold; the
@@ -169,7 +201,7 @@ def _encode(name: str, content) -> str:
                     blocks.append("".join(block))
                     block = []
             return "".join(blocks + ["".join(block)])
-    except ValueError as exc:  # allow_nan=False: Infinity and NaN are not JSON
+    except ValueError as exc:  # Infinity and NaN are not JSON
         raise ValidationError(f"result is not finite: {exc}") from exc
     header, columns = content
     table = np.column_stack(columns)
@@ -181,11 +213,19 @@ def _encode(name: str, content) -> str:
     return header + "\n" + "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
 
 
+def _open_in_place(path, flags: int) -> int:
+    """open()'s opener without O_TRUNC: a rewritten file keeps its blocks (ext4 frees and
+    flushes them on truncation to zero) and _write cuts it at the end of the new text."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(out: Path, files: dict) -> None:
     """Write {file name: content} into out; every file is encoded before any is written."""
     texts = {name: _encode(name, content) for name, content in files.items()}
     for name, text in texts.items():
-        (out / name).write_text(text, newline="")
+        with open(out / name, "w", newline="", opener=_open_in_place) as fh:
+            fh.write(text)
+            fh.truncate()
 
 
 # --------------------------------------------------------------- trajectories
@@ -210,7 +250,8 @@ def emit_trajectory(traj: Trajectory, path) -> None:
     norm_eta.  Quantum runs fill the norm columns with the canonical and
     metric norms; classical runs carry the raw and projected |n| there.
     """
-    Path(path).write_text(_encode("trajectory.csv", _trajectory_table(traj)), newline="")
+    path = Path(path)
+    _write(path.parent, {path.name: _trajectory_table(traj)})
 
 
 def read_trajectory(path):
