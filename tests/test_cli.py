@@ -755,6 +755,69 @@ def test_csv_encode_refuses_a_non_finite_cell(table, data, bad):
         cli._encode("t.csv", ("h", list(table.T)))
 
 
+def _json_default(obj):
+    """The json.dumps default= hook reports were encoded with before cli._report."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _json_report(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
+
+
+REPORT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+REPORT_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+REPORT_ARRAY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)
+REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([10**40, -(2**200)]),
+    REPORT_FLOATS,
+    st.text() | st.sampled_from(["", '\x00\x1f"\\/\x7f\u2028', "\u00e9 \u2603 \U0001d11e"]),
+    REPORT_FLOATS.map(np.float64),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    REPORT_COMPLEX,
+    hnp.arrays(np.float64, REPORT_ARRAY_SHAPES, elements=REPORT_FLOATS),
+    hnp.arrays(np.complex128, REPORT_ARRAY_SHAPES, elements=REPORT_COMPLEX),
+)
+REPORT_VALUES = st.recursive(
+    REPORT_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(REPORT_VALUES)
+def test_report_encoder_matches_json_dumps(value):
+    assert cli._report(value) == _json_report(value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf), complex(1.0, np.inf),
+     np.array([[0.5, np.nan]]), object()],
+    ids=["nan", "inf", "-inf", "np-nan", "np-inf", "complex-inf", "array-nan", "object"],
+)
+def test_report_encoder_refuses_what_json_dumps_refuses(bad):
+    value = {"b": [1.0, {"a": bad}], "a": None}
+    with pytest.raises((ValueError, TypeError)) as expected:
+        _json_report(value)
+    with pytest.raises(expected.type) as refused:
+        cli._report(value)
+    assert str(refused.value) == str(expected.value)
+
+
 def test_outputs_are_deterministic(tmp_path):
     scen = write_scenario(
         tmp_path,
@@ -772,6 +835,28 @@ def test_outputs_are_deterministic(tmp_path):
     assert run_cli("evolve", scen, out2) == 0
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
     assert (out1 / "evolve.json").read_bytes() == (out2 / "evolve.json").read_bytes()
+
+
+def test_rewrite_leaves_no_stale_tail(tmp_path):
+    """A shorter run into the same --out gives the bytes of a run into a fresh directory."""
+    base = {"kind": "evolve", "field": [1.0, 0.0, [0.0, 0.6]], "state": [[0.3, 0.1], [1.0, 0.0]]}
+    long = write_scenario(tmp_path, {**base, "time": {"stop": 4.0, "num": 401}}, "long.json")
+    short = write_scenario(tmp_path, {**base, "time": {"stop": 4.0, "num": 3}}, "short.json")
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run_cli("evolve", long, reused) == 0
+    assert run_cli("evolve", short, reused) == 0
+    assert run_cli("evolve", short, fresh) == 0
+    for name in ("trajectory.csv", "evolve.json"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+    assert (fresh / "trajectory.csv").read_text().count("\n") == 4
+
+
+def test_written_file_has_the_mode_write_text_gives(tmp_path):
+    (tmp_path / "reference.json").write_text("{}\n")
+    cli._write(tmp_path, {"report.json": {}})
+    assert (tmp_path / "report.json").read_text() == "{}\n"
+    modes = [os.stat(tmp_path / name).st_mode for name in ("reference.json", "report.json")]
+    assert modes[0] == modes[1]
 
 
 def test_step_override_flag(tmp_path):
