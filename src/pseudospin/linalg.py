@@ -26,14 +26,21 @@ DEFAULT_TOL = 1e-12
 
 
 def as_field(v) -> np.ndarray:
-    """Coerce to a length-3 complex vector."""
-    f = np.asarray(v, dtype=complex).reshape(3)
-    return f
+    """Coerce to a length-3 complex vector; input of another size is a ValidationError."""
+    f = np.asarray(v, dtype=complex)
+    try:
+        return f.reshape(3)
+    except ValueError as exc:
+        raise ValidationError(f"a field needs 3 components, got shape {f.shape}") from exc
 
 
 def as_operator(m) -> np.ndarray:
-    """Coerce to a 2x2 complex matrix."""
-    return np.asarray(m, dtype=complex).reshape(2, 2)
+    """Coerce to a 2x2 complex matrix; input of another size is a ValidationError."""
+    op = np.asarray(m, dtype=complex)
+    try:
+        return op.reshape(2, 2)
+    except ValueError as exc:
+        raise ValidationError(f"an operator needs 2x2 entries, got shape {op.shape}") from exc
 
 
 def as_state(v) -> np.ndarray:

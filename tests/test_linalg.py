@@ -246,3 +246,27 @@ def test_field_square_rotation_invariance():
         assert np.linalg.norm(r @ r.T - np.eye(3)) < 1e-12
         f = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
         assert field_square(r @ f) == pytest.approx(field_square(f), abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: field_square([1, 2]),
+        lambda: hamiltonian_from_field([1, 2]),
+        lambda: pauli_compose(0.0, np.ones(4)),
+        lambda: spectrum(np.eye(3)),
+        lambda: evolve_operator([1, 0, 0, 0, 1], 0.5),
+        lambda: inner([1, 0], [0, 1], np.eye(3)),
+    ],
+    ids=["field_square", "hamiltonian_from_field", "pauli_compose", "spectrum", "evolve_operator",
+         "inner-eta"],
+)
+def test_wrong_size_is_validation_error(call):
+    with pytest.raises(ValidationError, match="got shape"):
+        call()
+
+
+def test_any_shape_of_the_right_size_is_accepted():
+    column = hamiltonian_from_field([[1.0], [2.0], [3.0]])
+    assert np.array_equal(column, hamiltonian_from_field([1, 2, 3]))
+    assert spectrum(np.array([[[0.5, 0.0, 0.0, -0.5]]]))[0] == 0.5
