@@ -164,8 +164,9 @@ def _report(value, newline: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_report(v, inner)}" for k, v in sorted(value.items())]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+        items = sorted(value.items())
+        fields = [f"{encode_basestring_ascii(k)}: {_report(v, inner)}" for k, v in items]
+        return f"{{{inner}{(',' + inner).join(fields)}{newline}}}"
     if isinstance(value, np.ndarray):
         return _report(value.tolist(), newline)
     if isinstance(value, np.generic):
