@@ -4,8 +4,9 @@ Each scenario below is run through the CLI and every file it writes is
 compared by sha256 with a digest recorded from an earlier version of the
 package; the kinds with two branches (metric from alpha or from b_field,
 rabi's three amplitude forms, suppress with and without a torque, a sweep
-over a = 0 and a != 0) pin each branch, and three refusals pin their exit-3 and
-exit-2 error.json, one of them the report encoder's refusal of an inf.  The
+over a = 0 and a != 0) pin each branch, and seven refusals pin their exit-3 and
+exit-2 error.json: the report encoder's refusal of an inf, and four RK4 norm
+drifts in either mode, at t = 0 and later, one of them a NaN.  The
 sweeps also pin the per-point decisions: critical
 points where a b_z and an omega axis meet, alpha of either sign and zero,
 the tolerance band either side of a solved b (and a point clamped to
@@ -99,6 +100,28 @@ REFUSED = {
     "rabi-not-finite": (
         "rabi", {"b": 1.3e154, "b_z": 1.3e154, "omega": 0.0, "alpha": 0.5}, 2,
         "3e43bc4888567a5a55f61b227cd04eb802a514e5f04f37c2a16eb546067032b0",
+    ),
+    # RK4 refusals (exit 3): the first step whose norm drift is not <= 0.01 names its t
+    "bloch-overflow": (  # the rate overflows in the first step: a NaN drift at t=0
+        "bloch", {"field": [0, 0, 1e150], "n0": [1, 0, 0], "time": {"stop": 1.0, "step": 0.1},
+                  "renormalize": False}, 3,
+        "4f2421ce851b775524b642b3e14bfc1b191f9a6e14e4ce3fe1658818327bb6a9",
+    ),
+    "bloch-drift-renorm": (  # a finite drift of 0.0207 at t=0
+        "bloch", {"model": "damped", "field": [0, 0, 15], "n0": [0.6, 0, 0.8],
+                  "time": {"stop": 10.0, "step": 0.1}, "renormalize": True}, 3,
+        "6cd3d698a06ac09fa2490db08803c7ddb2eacec6e639ca0e5c449fdd8d466d4f",
+    ),
+    # an imaginary field that draws n from near +z to the equator, where the drift grows
+    "bloch-drift-raw-later": (  # 0.0107 at t=1.4
+        "bloch", {"model": "damped", "field": [0, 0, [12, -1.0]], "n0": [0.28, 0, 0.96],
+                  "time": {"stop": 10.0, "step": 0.1}, "renormalize": False}, 3,
+        "c27c4662a9da0fbf3a4493dd5682e6925533db9e1c4c830ca3e1654a2c3bde86",
+    ),
+    "bloch-drift-renorm-later": (  # 0.0103 at t=3.3
+        "bloch", {"model": "damped", "field": [0, 0, [12, -0.5]], "n0": [0.28, 0, 0.96],
+                  "time": {"stop": 10.0, "step": 0.1}, "renormalize": True}, 3,
+        "9a7e95f273023c34c5e1b4870dbfac2e9aaa515f16bbfaa5758753d5bdcba5e2",
     ),
 }
 
