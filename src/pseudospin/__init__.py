@@ -11,6 +11,7 @@ from .dynamics import (
     Trajectory,
     bloch_canonical,
     bloch_eta,
+    bloch_exact,
     bloch_model,
     correspondence_residual,
     effective_field,

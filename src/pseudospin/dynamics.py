@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from .linalg import (
     as_operator,
     as_state,
     evolve_operator,
+    hamiltonian_from_field,
     pauli_decompose,
     validate_metric,
 )
@@ -118,31 +120,64 @@ def _rate_at(n, model: tuple) -> np.ndarray:
     return _join(model[0](_split(np.asarray(n, dtype=float))))
 
 
-# Rates of the bloch models on component triples n, one formula each; only bloch_model picks them.
-def _damped3(n, fr, fi) -> tuple:
-    """-n x Re(F) - n x (n x Im(F))."""
-    c1, c2, c3 = _cross3(n, fr)
-    d1, d2, d3 = _cross3(n, _cross3(n, fi))
-    return (-c1 - d1, -c2 - d2, -c3 - d3)
+# Rates of the bloch models, one builder each; only bloch_model calls them.  A rate takes n as
+# three floats (or component arrays) and computes its cross products inline, with the products
+# and differences of _cross3 in the same order, so it is bit for bit the nested _cross3 form.
+def _damped_rate(fr, fi):
+    """rate(n) = -n x Re(F) - n x (n x Im(F))."""
+    fr1, fr2, fr3 = fr
+    fi1, fi2, fi3 = fi
+
+    def rate(n):
+        n1, n2, n3 = n
+        e1 = n2 * fi3 - n3 * fi2
+        e2 = n3 * fi1 - n1 * fi3
+        e3 = n1 * fi2 - n2 * fi1
+        return (
+            -(n2 * fr3 - n3 * fr2) - (n2 * e3 - n3 * e2),
+            -(n3 * fr1 - n1 * fr3) - (n3 * e1 - n1 * e3),
+            -(n1 * fr2 - n2 * fr1) - (n1 * e2 - n2 * e1),
+        )
+
+    return rate
 
 
-def _gilbert3(n, b, alpha) -> tuple:
-    """-(n x b) / (1 + alpha^2) - alpha n x (n x b) / (1 + alpha^2)."""
+def _gilbert_rate(b, alpha, a=None, p=None):
+    """rate(n) = -(n x b) / (1 + alpha^2) - alpha n x (n x b) / (1 + alpha^2), plus with a
+    polarization p the spin-transfer torque a n x (n x p)."""
+    b1, b2, b3 = b
     scale = 1.0 + alpha**2
-    c1, c2, c3 = _cross3(n, b)
-    d1, d2, d3 = _cross3(n, _cross3(n, b))
-    return (
-        (-c1) / scale - (alpha * d1) / scale,
-        (-c2) / scale - (alpha * d2) / scale,
-        (-c3) / scale - (alpha * d3) / scale,
-    )
 
+    def gilbert(n):
+        n1, n2, n3 = n
+        c1 = n2 * b3 - n3 * b2
+        c2 = n3 * b1 - n1 * b3
+        c3 = n1 * b2 - n2 * b1
+        return (
+            (-c1) / scale - (alpha * (n2 * c3 - n3 * c2)) / scale,
+            (-c2) / scale - (alpha * (n3 * c1 - n1 * c3)) / scale,
+            (-c3) / scale - (alpha * (n1 * c2 - n2 * c1)) / scale,
+        )
 
-def _spin_torque3(n, b, alpha, a, p) -> tuple:
-    """The Gilbert rate plus the spin-transfer torque a n x (n x P)."""
-    g1, g2, g3 = _gilbert3(n, b, alpha)
-    e1, e2, e3 = _cross3(n, _cross3(n, p))
-    return (g1 + a * e1, g2 + a * e2, g3 + a * e3)
+    if p is None:
+        return gilbert
+    p1, p2, p3 = p
+
+    def spin_valve(n):
+        n1, n2, n3 = n
+        c1 = n2 * b3 - n3 * b2
+        c2 = n3 * b1 - n1 * b3
+        c3 = n1 * b2 - n2 * b1
+        e1 = n2 * p3 - n3 * p2
+        e2 = n3 * p1 - n1 * p3
+        e3 = n1 * p2 - n2 * p1
+        return (
+            ((-c1) / scale - (alpha * (n2 * c3 - n3 * c2)) / scale) + a * (n2 * e3 - n3 * e2),
+            ((-c2) / scale - (alpha * (n3 * c1 - n1 * c3)) / scale) + a * (n3 * e1 - n1 * e3),
+            ((-c3) / scale - (alpha * (n1 * c2 - n2 * c1)) / scale) + a * (n1 * e2 - n2 * e1),
+        )
+
+    return spin_valve
 
 
 def rhs_damped_precession(n, field) -> np.ndarray:
@@ -182,7 +217,7 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     f = as_field(field)
     if model in ("damped", "precession"):
         fr, fi = f.real.tolist(), f.imag.tolist()
-        return (lambda n: _damped3(n, fr, fi)), f
+        return _damped_rate(fr, fi), f
     if model == "llg":
         needs = {"alpha": alpha}
     elif model == "llg_spin_valve":
@@ -202,14 +237,14 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     gilbert = b / (1.0 - 1j * alpha)
     bl = b.tolist()
     if model == "llg":
-        return (lambda n: _gilbert3(n, bl, alpha)), gilbert
+        return _gilbert_rate(bl, alpha), gilbert
     p = np.asarray(polarization, dtype=float)
     if p.shape != (3,):
         raise ValidationError(f"polarization: expected shape (3,), got {p.shape}")
     if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
         raise ValidationError("polarization direction must be a unit vector")
     pl = p.tolist()
-    return (lambda n: _spin_torque3(n, bl, alpha, a, pl)), gilbert - 1j * a * p
+    return _gilbert_rate(bl, alpha, a, pl), gilbert - 1j * a * p
 
 
 @dataclass
@@ -243,70 +278,119 @@ def _uniform_step(t_grid: np.ndarray) -> float:
     return float(h)
 
 
+_BLOCK = 4096  # RK4 steps between two norm and drift checks
+_ROW = struct.Struct("3d").pack_into  # one state row, 8 bytes a value, written in place
+_NORM = struct.Struct("d").pack_into
+
+
+def _unit_vector(n0) -> np.ndarray:
+    """n0 as a unit 3-vector of floats (a copy), or a ValidationError."""
+    n = np.array(n0, dtype=float)
+    if n.shape != (3,):
+        raise ValidationError("initial Bloch vector must have 3 components")
+    if not abs(np.sqrt(n @ n) - 1.0) <= 1e-9:
+        raise ValidationError("initial Bloch vector must be unit length")
+    return n
+
+
 def integrate(rate, n0, t_grid, renormalize: bool = False) -> Trajectory:
     """Classical fixed-step RK4 on the autonomous ODE n' = rate(n).
 
     rate receives n as a tuple of three floats and returns its three real
     components (any 3-sequence, an ndarray included); bloch_model builds
     such rates.  The state is stepped on Python floats, with the stage
-    arithmetic of the array form n + (h/2) k.  Norms are sqrt(v.dot(v))
-    of the state as a length-3 array, which is what np.linalg.norm
-    computes; BLAS may fuse multiply-adds there, so x*x + y*y + z*z would
-    differ in the last bit.  That array is also the row stored into the
-    preallocated states.
+    arithmetic of the array form n + (h/2) k, and each step's row is
+    written in place into the preallocated states.  Norms are
+    sqrt(v.dot(v)) of each row, which is what np.linalg.norm computes:
+    OpenBLAS's ddot of three values is fma(z, z, fma(y, y, x*x)), which no
+    order of Python float products and sums reproduces.  They are taken
+    per block of steps, one np.vecdot over the block's rows (the same ddot
+    per row).
 
     With renormalize the state is projected back to the unit sphere after
-    every step.  Raw (pre-projection) and projected norms are both recorded.
-    A single-step norm drift above 0.01, or a non-finite norm, aborts with
-    StepTooLargeError.
+    every step, dividing by its raw norm, one ddot per step.  Raw
+    (pre-projection) and projected norms are both recorded; without
+    renormalize they are one array.  A step whose norm drifts from the
+    previous projected norm by more than 0.01, or by a non-finite amount,
+    aborts with StepTooLargeError; rate may be called on up to one block of
+    steps past it first.
     """
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if len(t) == 0:
         raise ValidationError("time grid must have at least one sample")
     h = _uniform_step(t)
-    n = np.asarray(n0, dtype=float).copy()
-    if n.shape != (3,):
-        raise ValidationError("initial Bloch vector must have 3 components")
-    if not abs(np.sqrt(n @ n) - 1.0) <= 1e-9:
-        raise ValidationError("initial Bloch vector must be unit length")
+    n = _unit_vector(n0)
 
     states = np.empty((len(t), 3))
-    raw = np.empty(len(t))
     projected = np.empty(len(t))
+    raw = np.empty(len(t)) if renormalize else projected
     x, y, z = n.tolist()
-    norm = math.sqrt(n.dot(n))
     states[0] = n
-    raw[0] = projected[0] = norm
+    raw[0] = projected[0] = math.sqrt(n.dot(n))
+    v = np.empty(3)  # the pre-projection state, for its ddot
+    dot, sqrt, inf = v.dot, math.sqrt, math.inf
     half, sixth = 0.5 * h, h / 6.0
-    for k in range(len(t) - 1):
-        a1, a2, a3 = rate((x, y, z))
-        b1, b2, b3 = rate((x + half * a1, y + half * a2, z + half * a3))
-        c1, c2, c3 = rate((x + half * b1, y + half * b2, z + half * b3))
-        d1, d2, d3 = rate((x + h * c1, y + h * c2, z + h * c3))
-        x = x + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
-        y = y + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
-        z = z + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
-        v = np.array((x, y, z))
-        raw_norm = math.sqrt(v.dot(v))
-        drift = abs(raw_norm - norm)
-        if not drift <= 0.01:  # NaN fails this test too
-            raise StepTooLargeError(
-                f"norm drifted by {drift:.3g} in one step at t={t[k]:.6g}; reduce the step"
-            )
-        norm = raw_norm
-        if renormalize:
-            x, y, z = x / raw_norm, y / raw_norm, z / raw_norm
-            v = np.array((x, y, z))
-            norm = math.sqrt(v.dot(v))
-        states[k + 1] = v
-        raw[k + 1] = raw_norm
-        projected[k + 1] = norm
+    steps = len(t) - 1
+    for start in range(0, steps, _BLOCK):
+        stop = written = min(start + _BLOCK, steps)
+        for k in range(start, stop):
+            a1, a2, a3 = rate((x, y, z))
+            b1, b2, b3 = rate((x + half * a1, y + half * a2, z + half * a3))
+            c1, c2, c3 = rate((x + half * b1, y + half * b2, z + half * b3))
+            d1, d2, d3 = rate((x + h * c1, y + h * c2, z + h * c3))
+            x = x + sixth * (((a1 + 2.0 * b1) + 2.0 * c1) + d1)
+            y = y + sixth * (((a2 + 2.0 * b2) + 2.0 * c2) + d2)
+            z = z + sixth * (((a3 + 2.0 * b3) + 2.0 * c3) + d3)
+            if renormalize:
+                _ROW(v, 0, x, y, z)
+                norm = sqrt(dot(v))
+                _NORM(raw, 8 * k + 8, norm)
+                if not 0.0 < norm < inf:  # the check below refuses this step; do not divide
+                    written, stop = k, k + 1
+                    break
+                x, y, z = x / norm, y / norm, z / norm
+            _ROW(states, 24 * k + 24, x, y, z)
+        _check_block(states, raw, projected, t, start, written, stop)
     return Trajectory(
         times=t,
         states=states,
         norms={"raw": raw, "projected": projected},
         metadata={"method": "rk4", "step": h, "renormalize": bool(renormalize)},
     )
+
+
+def _check_block(states, raw, projected, t, start, written, stop) -> None:
+    """Projected norms of rows start+1..written, then the drift check of steps start..stop-1.
+
+    Step k drifts by |raw[k+1] - projected[k]|; the first one not within 0.01
+    (NaN included) is a StepTooLargeError naming t[k].
+    """
+    rows = states[start + 1 : written + 1]
+    with np.errstate(all="ignore"):  # a diverging step overflows here; it is refused below
+        projected[start + 1 : written + 1] = np.sqrt(np.vecdot(rows, rows))
+        drift = np.abs(raw[start + 1 : stop + 1] - projected[start:stop])
+    bad = np.flatnonzero(~(drift <= 0.01))
+    if len(bad):
+        k = start + bad[0]
+        raise StepTooLargeError(
+            f"norm drifted by {drift[bad[0]]:.3g} in one step at t={t[k]:.6g}; reduce the step"
+        )
+
+
+def bloch_exact(field, n0, t) -> np.ndarray:
+    """Closed-form n(t) of damped precession in a constant complex field, for t of any shape -> (..., 3).
+
+    The canonical Bloch vector of exp(-i H t) psi0, with H = (1/2) sigma.F and
+    psi0 a state whose Bloch vector is the unit vector n0, solves
+    n' = -n x Re(F) - n x (n x Im(F)) exactly (the paper's classical
+    correspondence), with t measured from n0.  Under the F_eq of bloch_model
+    it is the exact trajectory of every bloch model, which integrate
+    approximates to fourth order.
+    """
+    x, y, z = _unit_vector(n0).tolist()
+    # a state with Bloch vector n0, up to norm and phase; each form is 0 at the other's pole
+    psi0 = [1.0 + z, x + 1j * y] if z >= 0.0 else [x - 1j * y, 1.0 - z]
+    return bloch_canonical(evolve_state(hamiltonian_from_field(field), psi0, t))
 
 
 def evolve_trajectory(

@@ -44,9 +44,13 @@ def as_operator(m) -> np.ndarray:
 
 
 def as_state(v) -> np.ndarray:
-    """Coerce to a length-2 complex vector, or a stack (..., 2) of them."""
+    """Coerce to a length-2 complex vector, or a stack (..., 2) of them; another size is a
+    ValidationError."""
     s = np.asarray(v, dtype=complex)
-    return s.reshape(s.shape[:-1] + (2,))
+    try:
+        return s.reshape(s.shape[:-1] + (2,))
+    except ValueError as exc:
+        raise ValidationError(f"a state needs 2 components, got shape {s.shape}") from exc
 
 
 def principal_sqrt(z: complex) -> complex:

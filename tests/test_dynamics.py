@@ -10,6 +10,7 @@ from pseudospin.dynamics import (
     _cross,
     bloch_canonical,
     bloch_eta,
+    bloch_exact,
     bloch_model,
     correspondence_residual,
     effective_field,
@@ -333,6 +334,61 @@ def test_integrate_step_too_large():
         integrate(lambda n: np.full(3, np.nan), [1, 0, 0], t)
 
 
+def _counting_rate(kick_step, kick):
+    """A zero rate whose four stages at step kick_step (and after, for a NaN kick) return kick."""
+    calls = []
+
+    def rate(n):
+        calls.append(None)
+        step = (len(calls) - 1) // 4
+        return kick if step == kick_step or (step > kick_step and kick[0] != kick[0]) else (0, 0, 0)
+
+    return rate, calls
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize(
+    "kick_step, kick, message",
+    [
+        (3, (1000.0, 0.0, 0.0), "norm drifted by 0.414 in one step at t=0.003; reduce the step"),
+        (3, (np.nan,) * 3, "norm drifted by nan in one step at t=0.003; reduce the step"),
+        (5000, (1000.0, 0.0, 0.0), "norm drifted by 0.414 in one step at t=5; reduce the step"),
+    ],
+)
+def test_integrate_refuses_the_first_drifting_step_within_a_block(
+    kick_step, kick, message, renormalize
+):
+    # norms and drifts are checked per block of 4,096 steps: the refusal names the first
+    # drifting step, as a per-step check did, and at most one block of steps runs past it
+    rate, calls = _counting_rate(kick_step, kick)
+    t = np.arange(100_001) * 1e-3
+    with pytest.raises(StepTooLargeError) as info:
+        integrate(rate, [0, 1, 0], t, renormalize=renormalize)
+    assert str(info.value) == message
+    assert 4 * (kick_step + 1) <= len(calls) <= 4 * (4096 + kick_step)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_integrate_refuses_a_zero_raw_norm(renormalize):
+    # the rate -n0 / h steps n0 to exactly 0; with renormalize that norm is not divided by
+    t = np.linspace(0.0, 2.0, 3)
+    rate, _ = _counting_rate(0, (-1.0, 0.0, 0.0))
+    with pytest.raises(StepTooLargeError, match="drifted by 1 in one step at t=0;"):
+        integrate(rate, [1, 0, 0], t, renormalize=renormalize)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_integrate_across_a_block_boundary_is_bit_identical_to_reference_rk4(renormalize):
+    alpha = 0.15
+    rate, _ = bloch_model("llg", PINNED_B, alpha)
+    n0, t = np.array([0.48, 0.6, 0.64]), np.arange(5001) * 1e-3
+    traj = integrate(rate, n0, t, renormalize=renormalize)
+    states, raw, projected = reference_rk4(reference_rhs("llg", PINNED_B, alpha), n0, t, renormalize)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.norms["raw"], raw)
+    assert np.array_equal(traj.norms["projected"], projected)
+
+
 def test_integrate_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         integrate(lambda n: n, [2, 0, 0], np.linspace(0, 1, 5))
@@ -400,17 +456,39 @@ def test_integrate_is_fourth_order_against_exact_trajectory(
     # the canonical Bloch vector of exp(-i F_eq.sigma t / 2) psi(n0) solves the
     # damped precession under F_eq exactly (the paper's classical correspondence)
     rhs, f_eq = bloch_model(model, b + 1j * im if model == "damped" else b, alpha, a, p)
-    psi0 = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-    h_eq = hamiltonian_from_field(f_eq)
+    n0 = _unit(theta, phi)
     errors = []
     for h in (0.1, 0.05):
         t = np.linspace(0.0, 4.0, round(4.0 / h) + 1)
-        exact = bloch_canonical(evolve_state(h_eq, psi0, t))
-        traj = integrate(rhs, _unit(theta, phi), t, renormalize=renormalize)
+        exact = bloch_exact(f_eq, n0, t)
+        traj = integrate(rhs, n0, t, renormalize=renormalize)
         errors.append(np.max(np.abs(traj.states - exact)))
     assert errors[0] <= 0.1**4  # C h^4 with C = 1; C reaches about 0.3
     if errors[0] > 1e-9:  # below this the start sits on a fixed point and the ratio is noise
         assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    f=hnp.arrays(np.complex128, 3, elements=st.complex_numbers(max_magnitude=2.0)),
+    theta=ANGLES,
+    phi=AZIMUTHS,
+    t=st.floats(0.0, 5.0),
+)
+def test_bloch_exact_is_the_bloch_vector_of_the_evolved_coherent_state(f, theta, phi, t):
+    psi0 = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    expected = bloch_canonical(evolve_state(hamiltonian_from_field(f), psi0, t))
+    assert np.allclose(bloch_exact(f, _unit(theta, phi), t), expected, rtol=0, atol=1e-12)
+
+
+def test_bloch_exact_cases():
+    t = np.linspace(0.0, 2.0, 9)
+    circle = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)  # -n x z from x
+    assert np.allclose(bloch_exact([0, 0, 1], [1, 0, 0], t), circle, rtol=0, atol=1e-15)
+    assert np.array_equal(bloch_exact([0, 0, 1 + 1j], [0, 0, -1], t), np.tile([0, 0, -1.0], (9, 1)))
+    assert bloch_exact([0.3, 0, 1], [1, 0, 0], np.zeros((2, 4))).shape == (2, 4, 3)
+    with pytest.raises(ValidationError, match="unit length"):
+        bloch_exact([0, 0, 1], [1, 1, 0], 1.0)
 
 
 MODELS = ["damped", "llg", "llg_spin_valve"]

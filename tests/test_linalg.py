@@ -8,7 +8,9 @@ from pseudospin import (
     SIGMA1,
     SIGMA2,
     SIGMA3,
+    bloch_canonical,
     evolve_operator,
+    evolve_state,
     field_square,
     hamiltonian_from_field,
     inner,
@@ -263,6 +265,22 @@ def test_field_square_rotation_invariance():
 )
 def test_wrong_size_is_validation_error(call):
     with pytest.raises(ValidationError, match="got shape"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: inner([1, 2, 3], [1, 0]),
+        lambda: inner([1, 0], [1, 0, 0]),
+        lambda: inner(1.0, [1, 0]),
+        lambda: evolve_state(hamiltonian_from_field([0, 0, 1]), [1, 0, 0], 1.0),
+        lambda: bloch_canonical(np.ones((4, 3))),
+    ],
+    ids=["inner-x", "inner-y", "inner-scalar", "evolve_state", "bloch_canonical-stack"],
+)
+def test_wrong_size_state_is_validation_error(call):
+    with pytest.raises(ValidationError, match="a state needs 2 components, got shape"):
         call()
 
 
