@@ -280,7 +280,6 @@ def _uniform_step(t_grid: np.ndarray) -> float:
 
 _BLOCK = 4096  # RK4 steps between two norm and drift checks
 _ROW = struct.Struct("3d").pack_into  # one state row, 8 bytes a value, written in place
-_NORM = struct.Struct("d").pack_into
 
 
 def _unit_vector(n0) -> np.ndarray:
@@ -344,7 +343,7 @@ def integrate(rate, n0, t_grid, renormalize: bool = False) -> Trajectory:
             if renormalize:
                 _ROW(v, 0, x, y, z)
                 norm = sqrt(dot(v))
-                _NORM(raw, 8 * k + 8, norm)
+                raw[k + 1] = norm
                 if not 0.0 < norm < inf:  # the check below refuses this step; do not divide
                     written, stop = k, k + 1
                     break

@@ -334,14 +334,13 @@ def test_integrate_step_too_large():
         integrate(lambda n: np.full(3, np.nan), [1, 0, 0], t)
 
 
-def _counting_rate(kick_step, kick):
-    """A zero rate whose four stages at step kick_step (and after, for a NaN kick) return kick."""
+def _kicked_rate(kick_step, kick):
+    """A zero rate, except that the four stages of step kick_step return kick; and its calls."""
     calls = []
 
     def rate(n):
         calls.append(None)
-        step = (len(calls) - 1) // 4
-        return kick if step == kick_step or (step > kick_step and kick[0] != kick[0]) else (0, 0, 0)
+        return kick if (len(calls) - 1) // 4 == kick_step else (0.0, 0.0, 0.0)
 
     return rate, calls
 
@@ -360,7 +359,7 @@ def test_integrate_refuses_the_first_drifting_step_within_a_block(
 ):
     # norms and drifts are checked per block of 4,096 steps: the refusal names the first
     # drifting step, as a per-step check did, and at most one block of steps runs past it
-    rate, calls = _counting_rate(kick_step, kick)
+    rate, calls = _kicked_rate(kick_step, kick)
     t = np.arange(100_001) * 1e-3
     with pytest.raises(StepTooLargeError) as info:
         integrate(rate, [0, 1, 0], t, renormalize=renormalize)
@@ -372,7 +371,7 @@ def test_integrate_refuses_the_first_drifting_step_within_a_block(
 def test_integrate_refuses_a_zero_raw_norm(renormalize):
     # the rate -n0 / h steps n0 to exactly 0; with renormalize that norm is not divided by
     t = np.linspace(0.0, 2.0, 3)
-    rate, _ = _counting_rate(0, (-1.0, 0.0, 0.0))
+    rate, _ = _kicked_rate(0, (-1.0, 0.0, 0.0))
     with pytest.raises(StepTooLargeError, match="drifted by 1 in one step at t=0;"):
         integrate(rate, [1, 0, 0], t, renormalize=renormalize)
 
