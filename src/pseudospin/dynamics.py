@@ -120,7 +120,7 @@ def _rate_at(n, model: tuple) -> np.ndarray:
     return _join(model[0](_split(np.asarray(n, dtype=float))))
 
 
-# Rates of the bloch models, one builder each; only bloch_model calls them.  A rate takes n as
+# Rates of the bloch models, one factory each; only bloch_model calls them.  A rate takes n as
 # three floats (or component arrays) and computes its cross products inline, with the products
 # and differences of _cross3 in the same order, so it is bit for bit the nested _cross3 form.
 def _damped_rate(fr, fi):
@@ -376,14 +376,15 @@ def _check_block(states, raw, projected, t, start, written, stop) -> None:
 
 
 def bloch_exact(field, n0, t) -> np.ndarray:
-    """Closed-form n(t) of damped precession in a constant complex field, for t of any shape -> (..., 3).
+    """Closed-form n(t) of damped precession in a constant complex field F, for t of any shape.
 
     The canonical Bloch vector of exp(-i H t) psi0, with H = (1/2) sigma.F and
     psi0 a state whose Bloch vector is the unit vector n0, solves
     n' = -n x Re(F) - n x (n x Im(F)) exactly (the paper's classical
-    correspondence), with t measured from n0.  Under the F_eq of bloch_model
-    it is the exact trajectory of every bloch model, which integrate
-    approximates to fourth order.
+    correspondence), with t measured from n0; the result has shape
+    t.shape + (3,).  Under the F_eq of bloch_model it is the exact
+    trajectory of every bloch model, which integrate approximates to fourth
+    order.
     """
     x, y, z = _unit_vector(n0).tolist()
     # a state with Bloch vector n0, up to norm and phase; each form is 0 at the other's pole

@@ -382,7 +382,8 @@ def test_integrate_across_a_block_boundary_is_bit_identical_to_reference_rk4(ren
     rate, _ = bloch_model("llg", PINNED_B, alpha)
     n0, t = np.array([0.48, 0.6, 0.64]), np.arange(5001) * 1e-3
     traj = integrate(rate, n0, t, renormalize=renormalize)
-    states, raw, projected = reference_rk4(reference_rhs("llg", PINNED_B, alpha), n0, t, renormalize)
+    reference = reference_rhs("llg", PINNED_B, alpha)
+    states, raw, projected = reference_rk4(reference, n0, t, renormalize)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.norms["raw"], raw)
     assert np.array_equal(traj.norms["projected"], projected)

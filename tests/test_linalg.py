@@ -259,28 +259,17 @@ def test_field_square_rotation_invariance():
         lambda: spectrum(np.eye(3)),
         lambda: evolve_operator([1, 0, 0, 0, 1], 0.5),
         lambda: inner([1, 0], [0, 1], np.eye(3)),
-    ],
-    ids=["field_square", "hamiltonian_from_field", "pauli_compose", "spectrum", "evolve_operator",
-         "inner-eta"],
-)
-def test_wrong_size_is_validation_error(call):
-    with pytest.raises(ValidationError, match="got shape"):
-        call()
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
         lambda: inner([1, 2, 3], [1, 0]),
         lambda: inner([1, 0], [1, 0, 0]),
         lambda: inner(1.0, [1, 0]),
         lambda: evolve_state(hamiltonian_from_field([0, 0, 1]), [1, 0, 0], 1.0),
         lambda: bloch_canonical(np.ones((4, 3))),
     ],
-    ids=["inner-x", "inner-y", "inner-scalar", "evolve_state", "bloch_canonical-stack"],
+    ids=["field_square", "hamiltonian_from_field", "pauli_compose", "spectrum", "evolve_operator",
+         "inner-eta", "inner-x", "inner-y", "inner-scalar", "evolve_state", "bloch_canonical"],
 )
-def test_wrong_size_state_is_validation_error(call):
-    with pytest.raises(ValidationError, match="a state needs 2 components, got shape"):
+def test_wrong_size_is_validation_error(call):
+    with pytest.raises(ValidationError, match="got shape"):
         call()
 
 
