@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._g17 import csv_text
 from .dynamics import (  # rhs_* stay importable from cli: perfbench traces and tests them here
     Trajectory,
     bloch_model,
@@ -176,9 +177,8 @@ def _report(value, newline: str = "\n") -> str:
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-# CSV rows per format call and JSON lines per join.  One call over a whole table holds a
-# Python float per cell: a 10^6-sample bloch run peaked at 671 MB RSS that way, 377 MB in
-# blocks.  Holding a str per sweep line until the end costs about 49 B of header a line.
+# JSON lines per join: holding a str per sweep line until the end costs about 49 B of header
+# a line.
 _BLOCK = 4096
 
 
@@ -208,10 +208,7 @@ def _encode(name: str, content) -> str:
     table = np.column_stack(columns)
     if not np.isfinite(table).all():
         raise ValidationError(f"result is not finite: {name} has a non-finite entry")
-    # one format call per block of rows: %.17g gives the same bytes for a float and an np.float64
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    blocks = (table[i : i + _BLOCK] for i in range(0, len(table), _BLOCK))
-    return header + "\n" + "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+    return csv_text(header, table)
 
 
 def _open_in_place(path, flags: int) -> int:

@@ -146,7 +146,10 @@ def _gilbert_rate(b, alpha, a=None, p=None):
     """rate(n) = -(n x b) / (1 + alpha^2) - alpha n x (n x b) / (1 + alpha^2), plus with a
     polarization p the spin-transfer torque a n x (n x p)."""
     b1, b2, b3 = b
-    scale = 1.0 + alpha**2
+    try:
+        scale = 1.0 + alpha**2
+    except OverflowError:  # |alpha| above about 1.34e154
+        raise ValidationError(f"alpha: 1 + alpha**2 overflows, got {alpha!r}") from None
 
     def gilbert(n):
         n1, n2, n3 = n
@@ -268,14 +271,26 @@ class Trajectory:
         return len(self.times)
 
 
-def _uniform_step(t_grid: np.ndarray) -> float:
+def _trajectory(times, states, norms, metadata) -> Trajectory:
+    """A Trajectory of a 1-D float times array, strictly increasing, and as many states, built
+    without Trajectory's own check of them."""
+    traj = object.__new__(Trajectory)
+    traj.times, traj.states, traj.norms, traj.metadata = times, states, norms, metadata
+    return traj
+
+
+def _uniform_step(t_grid: np.ndarray) -> tuple:
+    """(h, increasing) for a grid whose steps lie within tol = 1e-9 max(|h|, 1e-12) of its first
+    step h > 0, else a ValidationError.  increasing says whether that also makes every step
+    positive, which it does unless h <= tol (or is NaN); (0.0, True) for one sample."""
     if len(t_grid) < 2:
-        return 0.0
+        return 0.0, True
     steps = np.diff(t_grid)
     h = steps[0]
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1e-12):
+    tol = 1e-9 * max(abs(h), 1e-12)
+    if h <= 0 or np.max(np.abs(steps - h)) > tol:
         raise ValidationError("time grid must be uniform and increasing")
-    return float(h)
+    return float(h), bool(h > tol)
 
 
 _BLOCK = 4096  # RK4 steps between two norm and drift checks
@@ -317,7 +332,7 @@ def integrate(rate, n0, t_grid, renormalize: bool = False) -> Trajectory:
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if len(t) == 0:
         raise ValidationError("time grid must have at least one sample")
-    h = _uniform_step(t)
+    h, increasing = _uniform_step(t)
     n = _unit_vector(n0)
 
     states = np.empty((len(t), 3))
@@ -350,7 +365,8 @@ def integrate(rate, n0, t_grid, renormalize: bool = False) -> Trajectory:
                 x, y, z = x / norm, y / norm, z / norm
             _ROW(states, 24 * k + 24, x, y, z)
         _check_block(states, raw, projected, t, start, written, stop)
-    return Trajectory(
+    # the grid is checked once: a grid _uniform_step leaves open gets Trajectory's own check
+    return (_trajectory if increasing else Trajectory)(
         times=t,
         states=states,
         norms={"raw": raw, "projected": projected},

@@ -904,6 +904,8 @@ def test_console_entry_point(tmp_path):
         ("check", {"field": [1e200, 0, 0]}, 2, "field square inf+0j is not finite"),
         ("bloch", {"field": [0, 0, 1e200], "n0": [1, 0, 0], "time": {"stop": 1.0, "step": 0.1}},
          2, "field square inf+0j is not finite"),
+        ("bloch", {"model": "llg", "alpha": 1e200, "field": [0, 0, 1], "n0": [1, 0, 0],
+                   "time": {"stop": 1.0, "step": 0.1}}, 2, "alpha: 1 + alpha**2 overflows, got 1e+200"),
     ],
 )
 def test_overflow_prints_only_the_error_line(tmp_path, kind, scenario, code, message):
@@ -912,3 +914,16 @@ def test_overflow_prints_only_the_error_line(tmp_path, kind, scenario, code, mes
     assert proc.returncode == code
     assert proc.stderr == f"error: {message}\n"
     assert [p.name for p in (tmp_path / "out").iterdir()] == ["error.json"]
+
+
+def test_bloch_names_an_alpha_whose_square_overflows(tmp_path):
+    scen = write_scenario(tmp_path, {
+        "kind": "bloch", "model": "llg_spin_valve", "alpha": -1e200, "a": 0.05,
+        "polarization": [0, 0, 1], "field": [0, 0, 1], "n0": [1, 0, 0],
+        "time": {"stop": 1.0, "step": 0.1},
+    })
+    out = tmp_path / "out"
+    assert run_cli("bloch", scen, out) == 2
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "ValidationError", "message": "alpha: 1 + alpha**2 overflows, got -1e+200"
+    }

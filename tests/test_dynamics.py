@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -586,10 +588,14 @@ AXIS = [0.0, 0.0, 1.0]
         (lambda n: rhs_llg_spin_torque(n, AXIS, 0.1, 0.05j, AXIS), "a: expected a finite real"),
         (lambda n: rhs_llg_spin_torque(n, AXIS, 0.1, 0.05, [1.0, 0.0]),
          r"polarization: expected shape \(3,\), got \(2,\)"),
+        (lambda n: rhs_llg(n, AXIS, 1e200), r"alpha: 1 \+ alpha\*\*2 overflows, got 1e\+200"),
+        (lambda n: rhs_llg_spin_torque(n, AXIS, -1e200, 0.05, AXIS),
+         r"alpha: 1 \+ alpha\*\*2 overflows"),
     ],
     ids=["llg-complex-field", "spin-valve-complex-field", "llg-alpha-none",
          "spin-valve-alpha-none", "spin-valve-a-none", "llg-alpha-nan", "spin-valve-a-complex",
-         "spin-valve-polarization-2-vector"],
+         "spin-valve-polarization-2-vector", "llg-alpha-square-overflows",
+         "spin-valve-alpha-square-overflows"],
 )
 def test_public_rhs_refuses_what_the_model_table_refuses(n, call, message):
     # the public rhs_* are views of bloch_model: same refusals, same ValidationError
@@ -597,9 +603,50 @@ def test_public_rhs_refuses_what_the_model_table_refuses(n, call, message):
         call(n)
 
 
+@pytest.mark.parametrize(
+    "model, params", [("llg", {}), ("llg_spin_valve", {"a": 0.05, "polarization": AXIS})]
+)
+@pytest.mark.parametrize("alpha", [1e200, -1.4e154, 1.7976931348623157e308, 10**200])
+def test_model_table_names_alpha_when_its_square_overflows(model, params, alpha):
+    with pytest.raises(ValidationError, match=r"^alpha: 1 \+ alpha\*\*2 overflows, got "):
+        bloch_model(model, AXIS, alpha, **params)
+
+
+def test_model_table_takes_an_alpha_whose_square_is_just_finite():
+    rate, f_eq = bloch_model("llg", AXIS, 1.3e154)
+    assert all(math.isfinite(c) for c in rate((1.0, 0.0, 0.0)))
+    assert np.isfinite(f_eq).all()
+
+
 def test_trajectory_requires_increasing_times():
     with pytest.raises(ValidationError):
         Trajectory(times=[0.0, 0.0], states=np.zeros((2, 3)))
+
+
+def test_integrate_checks_its_grid_once(monkeypatch):
+    def check(self):
+        raise AssertionError("Trajectory checked again a grid integrate had checked")
+
+    monkeypatch.setattr(Trajectory, "__post_init__", check)
+    rate, _ = bloch_model("llg", AXIS, 0.1)
+    traj = integrate(rate, [1.0, 0.0, 0.0], np.linspace(0.0, 1.0, 11))
+    assert traj.times.dtype == float and traj.states.shape == (11, 3) and len(traj) == 11
+
+
+@pytest.mark.parametrize(
+    "grid, error, message",
+    [
+        ([0.0, 0.1, 0.3], ValidationError, "^time grid must be uniform and increasing$"),
+        ([0.0, 0.0, 0.0], ValidationError, "^time grid must be uniform and increasing$"),
+        # steps this fine are within the uniformity tolerance of 0: Trajectory's check decides
+        ([0.0, 1e-22, 1e-22], ValidationError, "^times must be strictly increasing$"),
+        ([0.0, np.nan, 1.0], StepTooLargeError, "^norm drifted by nan in one step at t=0"),
+    ],
+)
+def test_integrate_refuses_a_bad_grid(grid, error, message):
+    rate, _ = bloch_model("llg", AXIS, 0.1)
+    with pytest.raises(error, match=message):
+        integrate(rate, [1.0, 0.0, 0.0], np.array(grid))
 
 
 # ----------------------------------------------------------- correspondence
