@@ -12,7 +12,6 @@ together.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ import numpy as np
 from .exceptions import StepTooLargeError, ValidationError, ZeroStateError
 from .linalg import (
     SIGMA,
+    _require_finite_reals,
     as_field,
     as_operator,
     as_state,
@@ -86,43 +86,21 @@ def bloch_eta(psi, eta, observables: str = "bare", isometry=None) -> np.ndarray:
     return np.stack(n, axis=-1) / nrm2
 
 
-def _cross3(u, v) -> tuple:
-    """u x v on component triples: three Python floats, or three component arrays that broadcast.
-
-    The same three products and differences as numpy.cross, in the same
-    order, so the result is bit for bit numpy.cross on either kind.
-    """
-    u1, u2, u3 = u
-    v1, v2, v3 = v
-    return (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
-
-
-def _split(x) -> tuple:
-    """A (3,) vector or a stack (..., 3) as its three columns (scalars for one vector)."""
-    x = np.asarray(x)
-    if x.shape[-1:] != (3,):
-        raise ValueError(f"expected 3-vectors, got shape {x.shape}")
-    return x[..., 0], x[..., 1], x[..., 2]
-
-
-def _join(c) -> np.ndarray:
-    """Three components (floats, scalars or broadcast arrays) as a (..., 3) array."""
-    return np.stack(c, axis=-1)
-
-
-def _cross(u, v) -> np.ndarray:
-    """u x v over the last axis, bit for bit numpy.cross without its per-call argument handling."""
-    return _join(_cross3(_split(u), _split(v)))
+def _three_vectors(n) -> np.ndarray:
+    """n as a float vector (3,) or stack (..., 3), else a ValidationError (numpy.cross takes more)."""
+    n = np.asarray(n, dtype=float)
+    if n.shape[-1:] != (3,):
+        raise ValidationError(f"n: expected 3-vectors, got shape {n.shape}")
+    return n
 
 
 def _rate_at(n, model: tuple) -> np.ndarray:
     """The rate of a bloch_model (rate, F_eq) pair at a real vector n (3,) or a stack (..., 3)."""
-    return _join(model[0](_split(np.asarray(n, dtype=float))))
+    return np.stack(model[0](np.moveaxis(_three_vectors(n), -1, 0)), axis=-1)
 
 
-# Rates of the bloch models, one factory each; only bloch_model calls them.  A rate takes n as
-# three floats (or component arrays) and computes its cross products inline, with the products
-# and differences of _cross3 in the same order, so it is bit for bit the nested _cross3 form.
+# Rates of the bloch models, one factory each; only bloch_model calls them.  A rate takes n as three
+# floats (or component arrays) and computes each cross product inline in numpy.cross's order.
 def _damped_rate(fr, fi):
     """rate(n) = -n x Re(F) - n x (n x Im(F))."""
     fr1, fr2, fr3 = fr
@@ -189,10 +167,10 @@ def rhs_damped_precession(n, field) -> np.ndarray:
 
 
 def effective_field(n, field) -> np.ndarray:
-    """Real field Re(F) + n x Im(F); the damped dynamics is -n x this."""
-    nv = np.asarray(n, dtype=float)
+    """Real field Re(F) + n x Im(F) (numpy.cross) at n (3,) or (..., 3); the damped dynamics
+    is -n x this."""
     f = as_field(field)
-    return f.real + _cross(nv, f.imag)
+    return f.real + np.cross(_three_vectors(n), f.imag)
 
 
 def rhs_llg(n, real_field, alpha: float) -> np.ndarray:
@@ -230,10 +208,7 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     missing = [name for name, value in needs.items() if value is None]
     if missing:
         raise ValidationError(f"bloch model {model!r} needs {', '.join(missing)}")
-    for name in ("alpha", "a"):
-        value = needs.get(name, 0.0)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-            raise ValidationError(f"{name}: expected a finite real number, got {value!r}")
+    _require_finite_reals({"alpha": alpha, "a": needs.get("a", 0.0)})
     if np.any(f.imag != 0.0):
         raise ValidationError(f"bloch model {model!r} needs a real field")
     b = f.real
@@ -470,10 +445,10 @@ def correspondence_residual(
     if eta is None:
         rhs = rhs_damped_precession(n, f)
     elif observables == "bare":
-        rhs = -_cross(n, f)
+        rhs = -np.cross(n, f)
     else:
         iso = as_operator(isometry)
         h_real = np.linalg.inv(iso) @ h @ iso
         _, bvec = pauli_decompose(h_real)
-        rhs = -_cross(n, 2.0 * bvec.real)
+        rhs = -np.cross(n, 2.0 * bvec.real)
     return float(np.max(np.linalg.norm(deriv - rhs, axis=1)))

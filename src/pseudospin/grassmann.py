@@ -113,7 +113,7 @@ def _generator_index(i: int) -> int:
 
 
 class GrassmannElement:
-    """Complex polynomial in three anticommuting generators."""
+    """Complex polynomial in three anticommuting generators; GrassmannElement() is zero."""
 
     __slots__ = ("coeffs",)
 
@@ -122,10 +122,6 @@ class GrassmannElement:
             self.coeffs = np.zeros(_BASIS_SIZE, dtype=complex)
         else:
             self.coeffs = np.asarray(coeffs, dtype=complex).reshape(_BASIS_SIZE).copy()
-
-    @classmethod
-    def zero(cls) -> "GrassmannElement":
-        return cls()
 
     @classmethod
     def one(cls) -> "GrassmannElement":
@@ -148,9 +144,6 @@ class GrassmannElement:
                 raise ValidationError(f"bad monomial indices {tuple(indices)}")
             mask |= 1 << (i - 1)
         return complex(self.coeffs[mask])
-
-    def degrees(self) -> set:
-        return {_DEGREE[m] for m in _MASKS if self.coeffs[m] != 0}
 
     def parity(self) -> int:
         """0 or 1 for parity-homogeneous elements; zero counts as even."""

@@ -10,6 +10,7 @@ fixes the branch of all spectra and evolution operators.
 from __future__ import annotations
 
 import cmath
+import numbers
 
 import numpy as np
 
@@ -51,6 +52,13 @@ def as_state(v) -> np.ndarray:
         return s.reshape(s.shape[:-1] + (2,))
     except ValueError as exc:
         raise ValidationError(f"a state needs 2 components, got shape {s.shape}") from exc
+
+
+def _require_finite_reals(values: dict) -> None:
+    """A ValidationError naming the first of values (name -> value) not a finite real number."""
+    for name, value in values.items():
+        if not (isinstance(value, numbers.Real) and cmath.isfinite(value)):
+            raise ValidationError(f"{name}: expected a finite real number, got {value!r}")
 
 
 def principal_sqrt(z: complex) -> complex:

@@ -23,7 +23,7 @@ from .exceptions import (
     PseudospinError,
     ValidationError,
 )
-from .linalg import SIGMA3, as_operator, hamiltonian_from_field
+from .linalg import SIGMA3, _require_finite_reals, as_operator, hamiltonian_from_field
 from .metric import MetricPair, build_isometry
 
 REGIME_HERMITIAN = "hermitian"
@@ -42,6 +42,9 @@ class RabiParameters:
     omega: float
     alpha: float = 0.0
     a: float = 0.0
+
+    def __post_init__(self):
+        _require_finite_reals(vars(self))
 
     @property
     def delta(self) -> float:
@@ -109,27 +112,6 @@ def to_rotating_frame(h_lab, omega: float) -> np.ndarray:
                 "Hamiltonian is not static in a frame rotating at this frequency"
             )
     return rotated(0.0)
-
-
-def frame_convention_diagnostic(p: RabiParameters) -> dict:
-    """Consistency report between the lab-frame and rotating-frame fields.
-
-    The two printed field configurations differ in their third component by
-    exactly the frame shift omega (the damping factor does not multiply the
-    shift).  The report carries that offset, its alpha dependence (zero),
-    and the residual of transforming the lab Hamiltonian into the rotating
-    frame against the rotating-frame field taken directly.
-    """
-    h_rot = to_rotating_frame(lambda t: hamiltonian_from_field(lab_frame_field(p, t)), p.omega)
-    direct = rotating_frame_hamiltonian(p)
-    lab3 = p.damping_factor() * p.b_z
-    rot3 = rotating_frame_field(p)[2]
-    offset = lab3 - rot3
-    return {
-        "transform_residual": float(np.linalg.norm(h_rot - direct)),
-        "third_component_offset": complex(offset),
-        "offset_alpha_dependence": abs(offset - p.omega),
-    }
 
 
 def rabi_amplitude(p: RabiParameters, t: float | np.ndarray) -> complex | np.ndarray:

@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 from pseudospin import IDENTITY2, SIGMA, hamiltonian_from_field, inner
 from pseudospin.dynamics import (
     Trajectory,
-    _cross,
     bloch_canonical,
     bloch_eta,
     bloch_exact,
@@ -251,36 +250,13 @@ def test_spin_torque_rejects_non_finite_polarization(bad):
         rhs_llg_spin_torque([1, 0, 0], [0, 0, 1], 0.1, 0.05, [bad, 0, 0])
 
 
-CROSS_SHAPES = [((3,), (3,)), ((5, 3), (5, 3)), ((4, 3), (3,)), ((3,), (2, 3)), ((2, 1, 3), (4, 3))]
-
-
-@st.composite
-def cross_pairs(draw):
-    """Two arrays of 3-vectors, real or complex, 1-D or stacked or broadcasting."""
-    dtype = draw(st.sampled_from([np.float64, np.complex128]))
-    specials = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 5e-324])
-    real = st.floats() | specials
-    elements = real if dtype is np.float64 else st.builds(complex, real, real)
-    shape_u, shape_v = draw(st.sampled_from(CROSS_SHAPES))
-    return (draw(hnp.arrays(dtype, shape_u, elements=elements)),
-            draw(hnp.arrays(dtype, shape_v, elements=elements)))
-
-
-@settings(max_examples=150, deadline=None)
-@given(cross_pairs())
-def test_cross_is_numpy_cross_bit_for_bit(pair):
-    u, v = pair
-    with np.errstate(all="ignore"):
-        got, want = _cross(u, v), np.cross(u, v)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert np.array_equal(got, want, equal_nan=True)
-    for part in (np.real, np.imag):
-        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
-
-
 def test_cross_rejects_non_3_vectors():
-    with pytest.raises(ValueError):
-        _cross(np.ones((4, 2)), np.ones(3))
+    # numpy.cross would take 2-vectors (with a DeprecationWarning); the public rates refuse them
+    n = np.ones((4, 2))
+    for call in (lambda: rhs_llg(n, [0.0, 0.0, 1.0], 0.1), lambda: rhs_damped_precession(n, [1.0, 0.0, 0.5j]),
+                 lambda: effective_field(n, [1.0, 0.0, 0.5j])):
+        with pytest.raises(ValidationError, match=r"n: expected 3-vectors, got shape \(4, 2\)"):
+            call()
 
 
 # ---------------------------------------------------------------- integrator
@@ -404,13 +380,13 @@ def test_integrate_rejects_bad_inputs():
         integrate(lambda n: n, [1, 0, 0], [])
 
 
-def _public_rhs(model, b, im, alpha, a, p):
+def _public_rhs(model, field, alpha, a, p):
     """integrate right-hand side of one bloch model through its public rhs_* (ndarray in, out)."""
     if model == "damped":
-        return lambda n: rhs_damped_precession(n, b + 1j * im)
+        return lambda n: rhs_damped_precession(n, field)
     if model == "llg":
-        return lambda n: rhs_llg(n, b, alpha)
-    return lambda n: rhs_llg_spin_torque(n, b, alpha, a, p)
+        return lambda n: rhs_llg(n, field, alpha)
+    return lambda n: rhs_llg_spin_torque(n, field, alpha, a, p)
 
 
 PINNED_B, PINNED_IM = np.array([0.3, -0.7, 1.1]), np.array([0.2, 0.1, -0.3])
@@ -421,8 +397,8 @@ PINNED_P = np.array([0.6, 0.0, 0.8])
 @pytest.mark.parametrize("model", ["damped", "llg", "llg_spin_valve"])
 def test_integrate_is_bit_identical_to_reference_rk4(model, renormalize):
     alpha, a = 0.15, 0.07
-    rhs = _public_rhs(model, PINNED_B, PINNED_IM, alpha, a, PINNED_P)
     field = PINNED_B + 1j * PINNED_IM if model == "damped" else PINNED_B
+    rhs = _public_rhs(model, field, alpha, a, PINNED_P)
     reference = reference_rhs(model, field, alpha, a, PINNED_P)
     n0, t = np.array([0.48, 0.6, 0.64]), np.linspace(0.0, 4.0, 201)
     traj = integrate(rhs, n0, t, renormalize=renormalize)
@@ -523,28 +499,40 @@ def test_model_table_rate_is_bit_identical_to_reference_rk4(model, renormalize, 
     assert np.array_equal(traj.norms["projected"], projected)
 
 
-@settings(max_examples=100, deadline=None)
+# signed zeros, infinities, NaN, the largest and the smallest subnormal double
+SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 5e-324])
+
+
+@settings(max_examples=150, deadline=None)
 @given(
     model=st.sampled_from(MODELS),
     stack=hnp.arrays(
-        np.float64, st.tuples(st.integers(1, 6), st.just(3)), elements=st.floats(-4.0, 4.0)
+        np.float64, st.tuples(st.integers(1, 6), st.just(3)),
+        elements=st.floats(-4.0, 4.0) | SPECIALS,
     ),
-    b=REALS,
-    im=IMAGS,
+    b=hnp.arrays(np.float64, 3, elements=st.floats(-1.5, 1.5) | SPECIALS),
+    im=hnp.arrays(np.float64, 3, elements=st.floats(-0.5, 0.5) | SPECIALS),
     alpha=st.floats(-2.0, 2.0),
     a=st.floats(-2.0, 2.0),
     p=UNITS,
 )
 def test_public_rhs_on_a_stack_equals_its_rows_and_numpy_cross(model, stack, b, im, alpha, a, p):
-    rhs = _public_rhs(model, b, im, alpha, a, p)
-    stacked = rhs(stack)
-    rows = np.array([rhs(row) for row in stack])
-    field = b + 1j * im if model == "damped" else b
-    reference = reference_rhs(model, field, alpha, a, p)(0.0, stack)
+    field = b
+    if model == "damped":
+        field = b.astype(complex)
+        field.imag = im  # set, not added: 1j * inf would put a NaN in the real part
+    rhs = _public_rhs(model, field, alpha, a, p)
+    with np.errstate(all="ignore"):
+        stacked = rhs(stack)
+        rows = np.array([rhs(row) for row in stack])
+        reference = reference_rhs(model, field, alpha, a, p)(0.0, stack)
     assert stacked.shape == stack.shape and stacked.dtype == np.float64
+    # signs are compared off the NaNs: IEEE 754 leaves a NaN's sign open, and NumPy's scalar,
+    # SIMD and tail loops make NaNs of either sign from the same inf - inf
+    signed = ~np.isnan(stacked)
     for other in (rows, reference):
-        assert np.array_equal(stacked, other)
-        assert np.array_equal(np.signbit(stacked), np.signbit(other))
+        assert np.array_equal(stacked, other, equal_nan=True)
+        assert np.array_equal(np.signbit(stacked[signed]), np.signbit(other[signed]))
 
 
 def test_model_table_rejects_unknown_model_and_polarization():

@@ -108,11 +108,11 @@ def coefficient_grid():
 
 
 def test_generator_nilpotency():
-    assert dist(XI[0] * XI[0], GrassmannElement.zero()) == 0.0
+    assert dist(XI[0] * XI[0], GrassmannElement()) == 0.0
 
 
 def test_generator_anticommutation():
-    assert dist(XI[0] * XI[1] + XI[1] * XI[0], GrassmannElement.zero()) == 0.0
+    assert dist(XI[0] * XI[1] + XI[1] * XI[0], GrassmannElement()) == 0.0
 
 
 def test_basis_product():
@@ -517,7 +517,7 @@ def test_correspondence_suite_report():
 
 def test_top_monomial_self_pair_is_the_hbar_squared_exception():
     top = XI[0] * XI[1] * XI[2]
-    assert dist(dirac_bracket(top, top), GrassmannElement.zero()) == 0.0
+    assert dist(dirac_bracket(top, top), GrassmannElement()) == 0.0
     rep = verify_correspondence(top, top)
     assert not rep.exact
     assert np.allclose(rep.commutator_image, 0.25j * IDENTITY2, atol=1e-15)

@@ -20,7 +20,6 @@ from pseudospin.rabi import (
     PseudoHermitianRabi,
     RabiParameters,
     classify_regime,
-    frame_convention_diagnostic,
     lab_frame_field,
     nonrotating_hamiltonians,
     omega_squared,
@@ -88,13 +87,12 @@ def test_to_rotating_frame_rejects_mismatched_frequency():
         to_rotating_frame(lambda t: hamiltonian_from_field(lab_frame_field(p, t)), 1.0)
 
 
-def test_frame_convention_diagnostic():
+def test_frame_convention_of_lab_and_rotating_fields():
     p = RabiParameters(b=1.0, b_z=0.5, omega=1.7, alpha=0.8)
-    report = frame_convention_diagnostic(p)
-    assert report["transform_residual"] < 1e-13
-    # frame shift is not multiplied by the damping factor, at any alpha
-    assert report["third_component_offset"] == pytest.approx(p.omega)
-    assert report["offset_alpha_dependence"] == 0.0
+    h_rot = to_rotating_frame(lambda t: hamiltonian_from_field(lab_frame_field(p, t)), p.omega)
+    assert np.linalg.norm(h_rot - rotating_frame_hamiltonian(p)) < 1e-13
+    # the third components differ by exactly the frame shift: the damping factor does not multiply it
+    assert lab_frame_field(p, 0)[2] - rotating_frame_field(p)[2] == p.omega
 
 
 # --------------------------------------------------------------- amplitudes
@@ -157,6 +155,15 @@ def test_classify_regimes():
     assert classify_regime(SUPPRESSED) == "pseudo_hermitian"
     assert classify_regime(RabiParameters(1.0, 2.0, 2.0, alpha=0.5)) == "critical"
     assert classify_regime(RabiParameters(1.0, 1.0, 2.0, alpha=0.5)) == "non_pseudo_hermitian"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j, "1.0"])
+@pytest.mark.parametrize("name", ["b", "b_z", "omega", "alpha", "a"])
+def test_rabi_parameters_refuse_a_non_finite_or_non_real_field(name, bad):
+    # a NaN b was classified "critical": the critical test looks only at the detuning
+    fields = {"b": 1.0, "b_z": 1.0, "omega": 1.0, "alpha": 0.3, "a": 0.0, name: bad}
+    with pytest.raises(ValidationError, match=f"^{name}: expected a finite real number, got"):
+        RabiParameters(**fields)
 
 
 # ------------------------------------------------------------------ solvers
