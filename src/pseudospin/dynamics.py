@@ -87,7 +87,7 @@ def bloch_eta(psi, eta, observables: str = "bare", isometry=None) -> np.ndarray:
 
 
 def _three_vectors(n) -> np.ndarray:
-    """n as a float vector (3,) or stack (..., 3), else a ValidationError (numpy.cross takes more)."""
+    """n as floats of shape (3,) or (..., 3), else a ValidationError (numpy.cross takes more)."""
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (3,):
         raise ValidationError(f"n: expected 3-vectors, got shape {n.shape}")

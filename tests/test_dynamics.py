@@ -252,9 +252,13 @@ def test_spin_torque_rejects_non_finite_polarization(bad):
 
 def test_cross_rejects_non_3_vectors():
     # numpy.cross would take 2-vectors (with a DeprecationWarning); the public rates refuse them
-    n = np.ones((4, 2))
-    for call in (lambda: rhs_llg(n, [0.0, 0.0, 1.0], 0.1), lambda: rhs_damped_precession(n, [1.0, 0.0, 0.5j]),
-                 lambda: effective_field(n, [1.0, 0.0, 0.5j])):
+    n, field = np.ones((4, 2)), [1.0, 0.0, 0.5j]
+    calls = [
+        lambda: rhs_llg(n, [0.0, 0.0, 1.0], 0.1),
+        lambda: rhs_damped_precession(n, field),
+        lambda: effective_field(n, field),
+    ]
+    for call in calls:
         with pytest.raises(ValidationError, match=r"n: expected 3-vectors, got shape \(4, 2\)"):
             call()
 
@@ -527,8 +531,8 @@ def test_public_rhs_on_a_stack_equals_its_rows_and_numpy_cross(model, stack, b, 
         rows = np.array([rhs(row) for row in stack])
         reference = reference_rhs(model, field, alpha, a, p)(0.0, stack)
     assert stacked.shape == stack.shape and stacked.dtype == np.float64
-    # signs are compared off the NaNs: IEEE 754 leaves a NaN's sign open, and NumPy's scalar,
-    # SIMD and tail loops make NaNs of either sign from the same inf - inf
+    # signs are compared off the NaNs: IEEE 754 leaves a NaN's sign open, and NumPy's scalar
+    # and array loops made NaNs of either sign from the same inf - inf
     signed = ~np.isnan(stacked)
     for other in (rows, reference):
         assert np.array_equal(stacked, other, equal_nan=True)

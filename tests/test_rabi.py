@@ -91,7 +91,7 @@ def test_frame_convention_of_lab_and_rotating_fields():
     p = RabiParameters(b=1.0, b_z=0.5, omega=1.7, alpha=0.8)
     h_rot = to_rotating_frame(lambda t: hamiltonian_from_field(lab_frame_field(p, t)), p.omega)
     assert np.linalg.norm(h_rot - rotating_frame_hamiltonian(p)) < 1e-13
-    # the third components differ by exactly the frame shift: the damping factor does not multiply it
+    # the third components differ by exactly omega: the damping factor does not multiply the shift
     assert lab_frame_field(p, 0)[2] - rotating_frame_field(p)[2] == p.omega
 
 
