@@ -250,6 +250,29 @@ def test_spin_torque_rejects_non_finite_polarization(bad):
         rhs_llg_spin_torque([1, 0, 0], [0, 0, 1], 0.1, 0.05, [bad, 0, 0])
 
 
+CROSS_SPECIALS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 5e-324])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=hnp.arrays(
+        np.float64, st.sampled_from([(3,), (5, 3), (2, 1, 3), (1, 4, 3)]),
+        elements=st.floats() | CROSS_SPECIALS,
+    ),
+    v=hnp.arrays(np.float64, 3, elements=st.floats() | CROSS_SPECIALS),
+)
+def test_cross_is_numpy_cross_bit_for_bit(n, v):
+    # Re(F) = -0.0 is the exact additive identity (it keeps a -0.0 and every inf and NaN), so
+    # effective_field is then n x Im(F) alone, on one vector or a stack of them
+    field = np.full(3, -0.0, dtype=complex)
+    field.imag = v
+    with np.errstate(all="ignore"):
+        got, want = effective_field(n, field), np.cross(n, v)
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_cross_rejects_non_3_vectors():
     # numpy.cross would take 2-vectors (with a DeprecationWarning); the public rates refuse them
     n, field = np.ones((4, 2)), [1.0, 0.0, 0.5j]
