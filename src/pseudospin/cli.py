@@ -1,13 +1,17 @@
 """Command-line driver: scenario files in, trajectories and reports out.
 
 Scenarios are JSON; complex numbers are [re, im] pairs (plain numbers are
-accepted as reals).  Every run writes machine-readable output into the
---out directory and exits 0 on success, 2 on a validation problem and 3
-when the mathematics refuses (no real solution, wrong regime, ...).
+accepted as reals).  A scenario file is read in one binary read and decoded
+as strict UTF-8 with universal newlines; a file that is not UTF-8 or not
+JSON, nests past the recursion limit or holds an integer past the digit
+limit is a validation problem.  Every run writes machine-readable output
+into the --out directory and exits 0 on success, 2 on a validation problem
+and 3 when the mathematics refuses (no real solution, wrong regime, ...).
 Handlers compute and return their files; run() checks every number in
-them for finiteness and encodes them all before it writes any, so a
-non-zero exit writes only error.json (plus grassmann.json for a failed
-suite).  Identical scenarios produce byte-identical outputs.
+them for finiteness and encodes them all to bytes before it writes any, so
+a non-zero exit writes only error.json (plus grassmann.json for a failed
+suite).  Each file is rewritten in place with os.write, without Python's
+text I/O layer.  Identical scenarios produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -182,12 +186,13 @@ def _report(value, newline: str = "\n") -> str:
 _BLOCK = 4096
 
 
-def _encode(name: str, content) -> str:
-    """File text by content: a dict is a JSON report, a (header, columns) tuple a CSV table,
-    and any other iterable the lines of a JSON-lines file."""
+def _encode(name: str, content) -> bytes:
+    """File bytes by content: a dict is a JSON report, a (header, columns) tuple a CSV table,
+    and any other iterable the lines of a JSON-lines file.  Reports and lines are ASCII: their
+    strings went through encode_basestring_ascii."""
     try:
         if isinstance(content, dict):
-            return _report(content) + "\n"
+            return (_report(content) + "\n").encode("ascii")
         # lines of _sweep_lines, each checked as it comes, so that the first bad point decides:
         # a non-finite line is refused before a later point raises an OverflowError
         if not isinstance(content, tuple):
@@ -199,31 +204,31 @@ def _encode(name: str, content) -> str:
                     raise ValueError("Out of range float values are not JSON compliant")
                 block.append(line)
                 if len(block) == _BLOCK:
-                    blocks.append("".join(block))
+                    blocks.append("".join(block).encode("ascii"))
                     block = []
-            return "".join(blocks + ["".join(block)])
+            return b"".join(blocks + ["".join(block).encode("ascii")])
     except ValueError as exc:  # Infinity and NaN are not JSON
         raise ValidationError(f"result is not finite: {exc}") from exc
     header, columns = content
-    table = np.column_stack(columns)
-    if not np.isfinite(table).all():
+    if not all(np.isfinite(column).all() for column in columns):
         raise ValidationError(f"result is not finite: {name} has a non-finite entry")
-    return csv_text(header, table)
-
-
-def _open_in_place(path, flags: int) -> int:
-    """open()'s opener without O_TRUNC: a rewritten file keeps its blocks (ext4 frees and
-    flushes them on truncation to zero) and _write cuts it at the end of the new text."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+    return csv_text(header, columns)
 
 
 def _write(out: Path, files: dict) -> None:
-    """Write {file name: content} into out; every file is encoded before any is written."""
-    texts = {name: _encode(name, content) for name, content in files.items()}
-    for name, text in texts.items():
-        with open(out / name, "w", newline="", opener=_open_in_place) as fh:
-            fh.write(text)
-            fh.truncate()
+    """Write {file name: content} into out; every file is encoded before any is written.  A file
+    is rewritten in place, opened without O_TRUNC (ext4 frees and flushes the blocks of a file
+    truncated to zero) and cut at the end of the new bytes."""
+    encoded = {name: _encode(name, content) for name, content in files.items()}
+    for name, data in encoded.items():
+        fd = os.open(os.path.join(out, name), os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            rest = memoryview(data)
+            while rest:  # os.write may write fewer bytes than it is given
+                rest = rest[os.write(fd, rest) :]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
 
 
 # --------------------------------------------------------------- trajectories
@@ -236,9 +241,10 @@ def _trajectory_table(traj: Trajectory) -> tuple:
         raise ValidationError("trajectory has no norm record")
     if eta is None:
         eta = canonical
-    n_re_im = np.ascontiguousarray(traj.states, dtype=complex).reshape(len(traj), 3).view(float)
+    # views of complex states; real (bloch) states have new +0.0 arrays for .imag, not a cast
+    n_re_im = [part for n in traj.states.reshape(len(traj), 3).T for part in (n.real, n.imag)]
     header = "t,n1_re,n1_im,n2_re,n2_im,n3_re,n3_im,norm_canonical,norm_eta"
-    return header, [traj.times, n_re_im, canonical, eta]
+    return header, [traj.times, *n_re_im, canonical, eta]
 
 
 def emit_trajectory(traj: Trajectory, path) -> None:
@@ -558,8 +564,14 @@ def run(kind: str, scenario_path, out_dir, tol: float = 1e-10, step=None) -> int
         if not 0.0 < tol < 1.0:  # NaN fails this test too
             raise ValidationError(f"tol must be a finite number in (0, 1), got {tol!r}")
         try:
-            scenario = json.loads(Path(scenario_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(scenario_path, "rb") as fh:
+                text = fh.read().decode("utf-8")
+            if "\r" in text:  # universal newlines, as text mode reads them: error offsets stay
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            # a str, not bytes: json.loads would take a BOM and UTF-16/32 from bytes
+            scenario = json.loads(text)
+        # ValueError: not UTF-8, not JSON, or an int past the digit limit; RecursionError: nesting
+        except (OSError, ValueError, RecursionError) as exc:
             raise ValidationError(f"cannot read scenario: {exc}") from exc
         if not isinstance(scenario, dict):
             raise ValidationError("scenario must be a JSON object")

@@ -57,8 +57,12 @@ def as_state(v) -> np.ndarray:
 def _require_finite_reals(values: dict) -> None:
     """A ValidationError naming the first of values (name -> value) not a finite real number."""
     for name, value in values.items():  # float first: an ABC's isinstance is slow
-        if not ((type(value) is float or isinstance(value, numbers.Real)) and cmath.isfinite(value)):
-            raise ValidationError(f"{name}: expected a finite real number, got {value!r}")
+        try:
+            if (type(value) is float or isinstance(value, numbers.Real)) and cmath.isfinite(value):
+                continue
+        except OverflowError:  # an int past 1.8e308
+            pass
+        raise ValidationError(f"{name}: expected a finite real number, got {value!r}")
 
 
 def principal_sqrt(z: complex) -> complex:

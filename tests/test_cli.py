@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 import pseudospin
 from pseudospin import cli
 from pseudospin.cli import KINDS, emit_trajectory, main, read_trajectory
-from pseudospin.dynamics import Trajectory, evolve_trajectory
+from pseudospin.dynamics import Trajectory, bloch_model, evolve_trajectory, integrate
 from pseudospin.exceptions import NonPseudoHermitianError, PseudospinError, ValidationError
 from pseudospin.linalg import hamiltonian_from_field
 from pseudospin.metric import canonical_limit_field
@@ -510,6 +511,41 @@ def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
 
 
 @pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param(b'{"kind": "check", "field": [1.0, 0.0, 0.5], "note": "\xff"}',
+                     id="not-utf-8"),
+        pytest.param(b'{"kind": "check", "field": [1' + b"0" * 4300 + b', 0.0, 0.5]}',
+                     id="int-past-the-digit-limit"),
+        pytest.param(b'{"kind": "check", "field": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+                     id="nested-past-the-recursion-limit"),
+    ],
+)
+def test_unreadable_scenario_bytes_are_validation_error(tmp_path, raw):
+    scen = tmp_path / "scenario.json"
+    scen.write_bytes(raw)
+    out = tmp_path / "out"
+    assert run_cli("check", scen, out) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "ValidationError"
+    assert error["message"].startswith("cannot read scenario: ")
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_scenario_line_breaks_are_read_as_universal_newlines(tmp_path):
+    """CR LF and a lone CR count as one line break each, so a JSON error's offset is the one
+    an LF file gives."""
+    messages = []
+    for newline in (b"\n", b"\r\n", b"\r"):
+        scen = tmp_path / "scenario.json"
+        lines = [b"{", b'  "kind": "check",', b'  "field": [1, 0, 0],,', b"}"]
+        scen.write_bytes(newline.join(lines))
+        assert run_cli("check", scen, tmp_path / "out") == 2
+        messages.append(json.loads((tmp_path / "out" / "error.json").read_text())["message"])
+    assert "line 3 column" in messages[0] and messages[1] == messages[0] == messages[2]
+
+
+@pytest.mark.parametrize(
     "kind, scenario",
     [
         pytest.param("rabi", {"b": 1e200, "b_z": 1.0, "omega": 2.0}, id="rabi-b-squared"),
@@ -721,27 +757,28 @@ CSV_CELLS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
 CSV_TABLES = hnp.arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 9)), elements=CSV_CELLS)
 
 
-def _csv_reference(table) -> str:
-    return "h\n" + "".join(",".join("%.17g" % float(x) for x in row) + "\n" for row in table)
+def _csv_reference(table) -> bytes:
+    text = "h\n" + "".join(",".join("%.17g" % float(x) for x in row) + "\n" for row in table)
+    return text.encode("ascii")
 
 
 @settings(max_examples=100, deadline=None)
 @given(CSV_TABLES)
 def test_csv_encode_matches_per_cell_formatting(table):
-    assert cli._encode("t.csv", ("h", list(table.T))) == _csv_reference(table)
+    assert bytes(cli._encode("t.csv", ("h", list(table.T)))) == _csv_reference(table)
 
 
 def test_csv_encode_matches_per_cell_formatting_across_blocks():
     rows = 2 * cli._BLOCK + 3
     table = RNG.standard_normal((rows, 3)) * 10.0 ** RNG.integers(-300, 300, (rows, 3))
     table[::7, 1] = -0.0
-    assert cli._encode("t.csv", ("h", list(table.T))) == _csv_reference(table)
+    assert bytes(cli._encode("t.csv", ("h", list(table.T)))) == _csv_reference(table)
 
 
 def test_jsonl_encode_joins_every_line_across_blocks():
     axes = [list(np.linspace(0.5, 1.5, 2 * cli._BLOCK + 3)), [1.0], [2.0], [0.0, 0.5], [0.0]]
     lines = list(cli._sweep_lines(axes, 1e-10))
-    assert cli._encode("sweep.jsonl", iter(lines)) == "".join(lines)
+    assert cli._encode("sweep.jsonl", iter(lines)) == "".join(lines).encode("ascii")
     message = "^result is not finite: Out of range float values are not JSON compliant$"
     with pytest.raises(ValidationError, match=message):  # json's C encoder's words, no value
         cli._encode("sweep.jsonl", iter(lines[:-1] + [lines[-1].replace("0.5", "NaN", 1)]))
@@ -857,6 +894,50 @@ def test_written_file_has_the_mode_write_text_gives(tmp_path):
     assert (tmp_path / "report.json").read_text() == "{}\n"
     modes = [os.stat(tmp_path / name).st_mode for name in ("reference.json", "report.json")]
     assert modes[0] == modes[1]
+
+
+def test_short_writes_still_write_every_byte(tmp_path, monkeypatch):
+    """os.write may write fewer bytes than it is given: _write goes on until all are out."""
+    table = RNG.standard_normal((300, 3))
+    lines = list(cli._sweep_lines([[0.5, 1.0, 1.5], [1.0], [2.0], [0.0, 0.5], [0.0]], 1e-10))
+    report = {"b": [1.0, -0.0], "a": "x"}
+    for name in ("report.json", "t.csv", "sweep.jsonl"):  # longer old files: no stale tail
+        (tmp_path / name).write_bytes(b"#" * 50_000)
+    write = os.write
+    calls = []
+
+    def short_write(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(os, "write", short_write)
+    cli._write(tmp_path, {"report.json": report, "t.csv": ("h", list(table.T)),
+                          "sweep.jsonl": iter(lines)})
+    monkeypatch.undo()
+    assert (tmp_path / "report.json").read_text() == _json_report(report) + "\n"
+    assert (tmp_path / "t.csv").read_bytes() == _csv_reference(table)
+    assert (tmp_path / "sweep.jsonl").read_text() == "".join(lines)
+    assert len(calls) > 3 and max(calls) > 7
+
+
+def test_trajectory_write_stage_memory_is_bounded_by_the_csv_size(tmp_path):
+    """Table and write stage of a 10^5-sample bloch run: the encoder's buffer (25 B a cell, about
+    1.84x the CSV), the zero imaginary parts of the real states and block-sized temporaries; no
+    copy of the table or of the text (3.8x)."""
+    rate, _ = bloch_model("llg", [0.0, 0.0, 1.0], alpha=0.1)
+    traj = integrate(rate, [1.0, 0.0, 0.0], np.linspace(0.0, 10.0, 100_000))
+    path = tmp_path / "trajectory.csv"
+    tracemalloc.start()
+    try:
+        emit_trajectory(traj, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10**7
+    assert peak < 2.25 * size, (peak, size)
+    t, states, _ = read_trajectory(path)
+    assert np.array_equal(t, traj.times) and np.array_equal(states, traj.states)
 
 
 def test_step_override_flag(tmp_path):

@@ -21,7 +21,9 @@ def as_table(values) -> np.ndarray:
 
 
 def encode(values) -> str:
-    return csv_text("h", as_table(values))[2:]
+    text = csv_text("h", [as_table(values)])
+    assert isinstance(text, memoryview) and text[:2] == b"h\n"
+    return bytes(text[2:]).decode("ascii")
 
 
 def reference(values) -> str:

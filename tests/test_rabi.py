@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pseudospin import field_square, hamiltonian_from_field, inner
 from pseudospin.cli import _sweep_lines
-from pseudospin.dynamics import evolve_state
+from pseudospin.dynamics import bloch_model, evolve_state
 from pseudospin.exceptions import (
     ImaginaryFrequencyError,
     NoRealSolutionError,
@@ -164,6 +164,20 @@ def test_rabi_parameters_refuse_a_non_finite_or_non_real_field(name, bad):
     fields = {"b": 1.0, "b_z": 1.0, "omega": 1.0, "alpha": 0.3, "a": 0.0, name: bad}
     with pytest.raises(ValidationError, match=f"^{name}: expected a finite real number, got"):
         RabiParameters(**fields)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("b", lambda: RabiParameters(10**400, 1.0, 1.0)),
+        ("alpha", lambda: bloch_model("llg", [0, 0, 1], 10**400)),
+    ],
+    ids=["rabi-parameters", "bloch-model"],
+)
+def test_an_int_past_the_float_range_is_not_a_finite_real(name, call):
+    # cmath.isfinite converts the int to a float and overflows
+    with pytest.raises(ValidationError, match=f"^{name}: expected a finite real number, got 1000"):
+        call()
 
 
 # ------------------------------------------------------------------ solvers
