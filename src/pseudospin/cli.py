@@ -142,43 +142,68 @@ def _report(value, newline: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False) writes it.
 
     json takes its C encoder only without indent, so reports are encoded here, for the types
-    they hold.  The checks run in json's order (an np.float64 is a float, an np.bool_ is not a
-    bool), and what json would hand its default= hook is converted as that hook did: an
-    ndarray by tolist(), an np.generic by item(), a complex as [re, im].  newline is the line
-    break and indent that precede a closing bracket of value.
+    they hold.  Exact types come first: a dict, list or tuple writes its str, int, float, bool
+    and None children in its own loop.  Any other type takes json's isinstance checks in json's
+    order (an np.float64 is a float, an np.bool_ is not a bool), and what json would hand its
+    default= hook is converted as that hook did: an ndarray by tolist(), an np.generic by
+    item(), a complex as [re, im].  newline is the line break and indent that precede a closing
+    bracket of value.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        return float.__repr__(value)
+    if type(value) is np.ndarray:
+        value = value.tolist()
+    kind = type(value)
+    if kind is complex:
+        value, kind = [value.real, value.imag], list
+    elif kind is not dict and kind is not list and kind is not tuple:
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None:
+            return "null"
+        if value is True or value is False:
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+            return float.__repr__(value)
+        if isinstance(value, (list, tuple)):
+            kind = list
+        elif isinstance(value, dict):
+            kind = dict
+        elif isinstance(value, np.ndarray):
+            return _report(value.tolist(), newline)
+        elif isinstance(value, np.generic):
+            return _report(value.item(), newline)
+        elif isinstance(value, complex):
+            return _report([value.real, value.imag], newline)
+        else:
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    brackets = "{}" if kind is dict else "[]"
+    if not value:
+        return brackets
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return f"[{inner}{(',' + inner).join([_report(v, inner) for v in value])}{newline}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = sorted(value.items())
-        fields = [f"{encode_basestring_ascii(k)}: {_report(v, inner)}" for k, v in items]
-        return f"{{{inner}{(',' + inner).join(fields)}{newline}}}"
-    if isinstance(value, np.ndarray):
-        return _report(value.tolist(), newline)
-    if isinstance(value, np.generic):
-        return _report(value.item(), newline)
-    if isinstance(value, complex):
-        return _report([value.real, value.imag], newline)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    texts = []
+    for v in sorted(value.items()) if kind is dict else value:
+        if kind is dict:  # the key is encoded before the value, so a bad key is refused first
+            key, v = encode_basestring_ascii(v[0]), v[1]
+        child = type(v)
+        if child is float:
+            text = float.__repr__(v)
+            if text in _NON_FINITE:
+                raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+        elif child is str:
+            text = encode_basestring_ascii(v)
+        elif child is int:
+            text = int.__repr__(v)
+        elif child is bool:
+            text = "true" if v else "false"
+        elif v is None:
+            text = "null"
+        else:
+            text = _report(v, inner)
+        texts.append(f"{key}: {text}" if kind is dict else text)
+    return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{newline}{brackets[1]}"
 
 
 # JSON lines per join: holding a str per sweep line until the end costs about 49 B of header

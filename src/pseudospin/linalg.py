@@ -62,7 +62,11 @@ def _require_finite_reals(values: dict) -> None:
                 continue
         except OverflowError:  # an int past 1.8e308
             pass
-        raise ValidationError(f"{name}: expected a finite real number, got {value!r}")
+        try:
+            got = repr(value)
+        except ValueError:  # an int past the digit limit of int-to-str conversion
+            got = f"an int of {value.bit_length()} bits"
+        raise ValidationError(f"{name}: expected a finite real number, got {got}")
 
 
 def principal_sqrt(z: complex) -> complex:

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -807,6 +808,37 @@ def _json_report(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
 
 
+# subclasses of the types the encoder looks up by exact type: they take json's isinstance checks
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    def __repr__(self):  # json's refusal of a non-finite float quotes repr()
+        return f"_Float({float.__repr__(self)})"
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Level(IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
 REPORT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
 )
@@ -824,12 +856,20 @@ REPORT_LEAVES = st.one_of(
     REPORT_COMPLEX,
     hnp.arrays(np.float64, REPORT_ARRAY_SHAPES, elements=REPORT_FLOATS),
     hnp.arrays(np.complex128, REPORT_ARRAY_SHAPES, elements=REPORT_COMPLEX),
+    st.text().map(_Str),
+    st.integers().map(_Int),
+    REPORT_FLOATS.map(_Float),
+    st.sampled_from(_Level),
 )
+REPORT_KEYS = st.text(max_size=4) | st.text(max_size=4).map(_Str)
 REPORT_VALUES = st.recursive(
     REPORT_LEAVES,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=3).map(tuple)
-    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    | st.dictionaries(REPORT_KEYS, children, max_size=4)
+    | st.lists(children, max_size=3).map(_List)
+    | st.lists(children, max_size=3).map(_Tuple)
+    | st.dictionaries(REPORT_KEYS, children, max_size=3).map(_Dict),
     max_leaves=10,
 )
 
@@ -843,8 +883,9 @@ def test_report_encoder_matches_json_dumps(value):
 @pytest.mark.parametrize(
     "bad",
     [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf), complex(1.0, np.inf),
-     np.array([[0.5, np.nan]]), object()],
-    ids=["nan", "inf", "-inf", "np-nan", "np-inf", "complex-inf", "array-nan", "object"],
+     np.array([[0.5, np.nan]]), _Float(np.inf), ({"k": [complex(np.inf, 0.5)]},), object()],
+    ids=["nan", "inf", "-inf", "np-nan", "np-inf", "complex-inf", "array-nan", "float-subclass-inf",
+         "complex-inf-in-list-in-dict-in-tuple", "object"],
 )
 def test_report_encoder_refuses_what_json_dumps_refuses(bad):
     value = {"b": [1.0, {"a": bad}], "a": None}

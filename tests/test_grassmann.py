@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from pseudospin import grassmann
 from pseudospin.exceptions import NonHomogeneousError, ValidationError
 from pseudospin.grassmann import (
     GrassmannElement,
@@ -574,6 +575,34 @@ def test_suite_matches_loop_reference_bit_for_bit(field):
             assert entry["residual"].hex() == ref["residual"].hex()
     # the whole report, as grassmann-verify writes it
     assert json.dumps(suite, sort_keys=True) == json.dumps(pinned, sort_keys=True)
+
+
+def test_suite_tables_are_read_only():
+    assert not grassmann._SUITE_F.flags.writeable
+    assert not grassmann._SUITE_G.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(first=FIELDS, second=FIELDS)
+def test_consecutive_suites_each_match_the_loop_reference(first, second):
+    # each call fills the Hamiltonian rows of its own copy: nothing carries over to the next field
+    for field in (first, second, first):
+        suite, pinned = correspondence_suite(field), reference_suite(field)
+        assert json.dumps(suite, sort_keys=True) == json.dumps(pinned, sort_keys=True)
+
+
+def test_suite_calls_the_kernels_through_the_module_globals(monkeypatch):
+    # the benchmark's tracer counts these calls by replacing the module attributes
+    calls = dict.fromkeys(["verify_correspondence", "dirac_bracket", "quantize"], 0)
+    for name in calls:
+
+        def counted(*args, name=name, kernel=getattr(grassmann, name), **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(grassmann, name, counted)
+    correspondence_suite([0.7, -1.1, 0.4])
+    assert calls == {"verify_correspondence": 1, "dirac_bracket": 1, "quantize": 1}
 
 
 @settings(max_examples=200, deadline=None)

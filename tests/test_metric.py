@@ -274,6 +274,28 @@ def test_isometry_and_metric_are_covariant_under_complex_plane_rotations(b1, b3,
     assert np.linalg.norm(eta_adjoint(hf, pair.eta) - hf) <= 1e-13 * scale * cond**2
 
 
+@settings(max_examples=100, deadline=None)
+@given(b1=SIGNED, b3=SIGNED, re=st.floats(-np.pi, np.pi), im=st.floats(-3.0, 3.0))
+def test_isometry_maps_each_real_eigenpair_onto_the_complex_one(b1, b3, re, im):
+    # M v_b = v_f exactly in exact arithmetic, at the same eigenvalue.  The sine of the angle
+    # between M v_b and v_f is roundoff amplified by cond(M), and by |f| / |f1| where (f3 - E)
+    # cancels in v_f; the eigenvalues differ by the rounding of the square-sums, eps |f|^2 / E
+    # (worst of 28,000 random and edge pairs: sine 3.0e-16 cond(M) |f| / |f1|, gap 1.1e-16
+    # |f|^2 / E).
+    b = np.array([b1, 0.0, b3])
+    f = plane_rotation(1, complex(re, im)) @ b
+    try:
+        m = build_isometry(f, b).isometry
+    except DegenerateFieldError:  # square-sum too small against the fields' scale
+        assume(False)
+    bound = 1e-13 * np.linalg.cond(m) * np.linalg.norm(f) / abs(f[0])
+    for (vf, ef), (vb, eb) in zip(eigenpairs_complex(f), eigenpairs_complex(b), strict=True):
+        image = m @ vb
+        sine = abs(image[0] * vf[1] - image[1] * vf[0]) / np.linalg.norm(image) / np.linalg.norm(vf)
+        assert sine <= bound
+        assert abs(ef - eb) <= 1e-14 * np.linalg.norm(f) ** 2 / abs(eb)
+
+
 # ---------------------------------------------------------------- eta adjoint
 
 

@@ -180,6 +180,21 @@ def test_an_int_past_the_float_range_is_not_a_finite_real(name, call):
         call()
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("b", lambda: RabiParameters(10**5000, 1.0, 1.0)),
+        ("alpha", lambda: bloch_model("llg", [0, 0, 1], 10**5000)),
+    ],
+    ids=["rabi-parameters", "bloch-model"],
+)
+def test_an_int_past_the_digit_limit_is_named_by_its_size(name, call):
+    # repr of an int past 4,300 digits raises a ValueError, so the message gives its bit length
+    message = f"^{name}: expected a finite real number, got an int of 16610 bits$"
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 # ------------------------------------------------------------------ solvers
 
 
