@@ -29,14 +29,12 @@ import numpy as np
 
 from . import __version__
 from ._g17 import csv_text
-from .dynamics import (  # rhs_* stay importable from cli: perfbench traces and tests them here
+from .dynamics import (  # rhs_llg only because perfbench/tests looks up cli.rhs_llg
     Trajectory,
     bloch_model,
     evolve_trajectory,
     integrate,
-    rhs_damped_precession,
     rhs_llg,
-    rhs_llg_spin_torque,
 )
 from .exceptions import PseudospinError, ValidationError
 from .grassmann import correspondence_suite
@@ -259,6 +257,9 @@ def _write(out: Path, files: dict) -> None:
 # --------------------------------------------------------------- trajectories
 
 
+_TRAJECTORY_HEADER = "t,n1_re,n1_im,n2_re,n2_im,n3_re,n3_im,norm_canonical,norm_eta"
+
+
 def _trajectory_table(traj: Trajectory) -> tuple:
     canonical = traj.norms.get("canonical", traj.norms.get("raw"))
     eta = traj.norms.get("eta", traj.norms.get("projected"))
@@ -268,8 +269,7 @@ def _trajectory_table(traj: Trajectory) -> tuple:
         eta = canonical
     # views of complex states; real (bloch) states have new +0.0 arrays for .imag, not a cast
     n_re_im = [part for n in traj.states.reshape(len(traj), 3).T for part in (n.real, n.imag)]
-    header = "t,n1_re,n1_im,n2_re,n2_im,n3_re,n3_im,norm_canonical,norm_eta"
-    return header, [traj.times, *n_re_im, canonical, eta]
+    return _TRAJECTORY_HEADER, [traj.times, *n_re_im, canonical, eta]
 
 
 def emit_trajectory(traj: Trajectory, path) -> None:
@@ -286,8 +286,7 @@ def emit_trajectory(traj: Trajectory, path) -> None:
 def read_trajectory(path):
     """Parse a trajectory CSV back into (times, states, norms) arrays."""
     with open(path, newline="") as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t":
+        if fh.readline().strip() != _TRAJECTORY_HEADER:
             raise ValidationError(f"{path}: not a trajectory file")
         with warnings.catch_warnings():
             # a header-only file is the empty trajectory emit_trajectory writes

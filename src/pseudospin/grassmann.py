@@ -124,10 +124,6 @@ class GrassmannElement:
             self.coeffs = np.asarray(coeffs, dtype=complex).reshape(_BASIS_SIZE).copy()
 
     @classmethod
-    def one(cls) -> "GrassmannElement":
-        return cls.from_scalar(1.0)
-
-    @classmethod
     def from_scalar(cls, z) -> "GrassmannElement":
         out = cls()
         out.coeffs[0] = z
@@ -290,36 +286,6 @@ def precession_hamiltonian(field) -> GrassmannElement:
     out.coeffs[0b011] = -1j * f[2]
     out.coeffs[0b110] = -1j * f[0]
     out.coeffs[0b101] = 1j * f[1]
-    return out
-
-
-def element_components(f: GrassmannElement):
-    """(scalar, vector, antisymmetric matrix, pseudoscalar) parametrization.
-
-    f = f0 + f_i xi_i + f_ij xi_i xi_j + (i/3!) k eps_ijk xi_i xi_j xi_k
-    with f_ij = -f_ji; the monomial coefficient at {i < j} is 2 f_ij and the
-    top coefficient is i k.
-    """
-    vec = np.array([f.coeffs[0b001], f.coeffs[0b010], f.coeffs[0b100]])
-    mat = np.zeros((3, 3), dtype=complex)
-    for (i, j), mask in (((0, 1), 0b011), ((0, 2), 0b101), ((1, 2), 0b110)):
-        mat[i, j] = 0.5 * f.coeffs[mask]
-        mat[j, i] = -mat[i, j]
-    return f.coeffs[0], vec, mat, -1j * f.coeffs[0b111]
-
-
-def element_from_components(scalar, vector, matrix, pseudoscalar) -> GrassmannElement:
-    """Inverse of element_components; the matrix may carry a symmetric part,
-    which drops out of the expansion."""
-    out = GrassmannElement()
-    out.coeffs[0] = scalar
-    v = np.asarray(vector, dtype=complex).reshape(3)
-    out.coeffs[0b001], out.coeffs[0b010], out.coeffs[0b100] = v
-    m = np.asarray(matrix, dtype=complex).reshape(3, 3)
-    out.coeffs[0b011] = m[0, 1] - m[1, 0]
-    out.coeffs[0b101] = m[0, 2] - m[2, 0]
-    out.coeffs[0b110] = m[1, 2] - m[2, 1]
-    out.coeffs[0b111] = 1j * pseudoscalar
     return out
 
 

@@ -133,16 +133,21 @@ def _require_traceless(h: np.ndarray, tol: float) -> None:
         )
 
 
+def _operator_square(op, tol: float) -> complex:
+    """Field square F^2 = -4 det(H) of a traceless operator H = (1/2) sigma . F."""
+    h = as_operator(op)
+    with np.errstate(over="ignore", invalid="ignore"):  # field_square refuses a non-finite square
+        _require_traceless(h, tol)
+        _, f = pauli_decompose(h)
+        return field_square(2.0 * f)
+
+
 def spectrum(op, tol: float = DEFAULT_TOL) -> tuple[complex, complex]:
     """Eigenvalue pair (E+, E-) = (+, -) (1/2) sqrt(F^2) of a traceless operator.
 
     The principal branch makes E+ the root with Re >= 0; E- = -E+ always.
     """
-    h = as_operator(op)
-    with np.errstate(over="ignore", invalid="ignore"):  # field_square refuses a non-finite square
-        _require_traceless(h, tol)
-        _, f = pauli_decompose(h)
-        e_plus = 0.5 * principal_sqrt(field_square(2.0 * f))
+    e_plus = 0.5 * principal_sqrt(_operator_square(op, tol))
     return e_plus, -e_plus
 
 

@@ -25,12 +25,12 @@ from .exceptions import (
     SingularMetricError,
 )
 from .linalg import (
+    DEFAULT_TOL,
+    _operator_square,
     as_field,
     as_operator,
     field_square,
-    pauli_decompose,
     principal_sqrt,
-    _require_traceless,
 )
 
 REAL_TOL = 1e-10
@@ -48,10 +48,7 @@ def is_pseudo_hermitian(op, tol: float = REAL_TOL) -> bool:
     A real F^2 >= 0 is equivalent to a real eigenvalue pair +-E/2, which is
     the existence condition for a positive-definite metric.
     """
-    h = as_operator(op)
-    _require_traceless(h, 1e-12)
-    _, t = pauli_decompose(h)
-    return _square_in_r_plus(field_square(2.0 * t), tol)
+    return _square_in_r_plus(_operator_square(op, DEFAULT_TOL), tol)
 
 
 def _check_plane_pair(f: np.ndarray, b: np.ndarray, tol: float) -> complex:
@@ -141,7 +138,10 @@ def eta_from_isometry(isometry) -> np.ndarray:
     m = as_operator(isometry)
     if abs(np.linalg.det(m)) < 1e-14:
         raise SingularMetricError("isometry is singular")
-    eta = np.linalg.inv(m @ m.conj().T)
+    try:
+        eta = np.linalg.inv(m @ m.conj().T)
+    except np.linalg.LinAlgError:  # M M^dagger can round to singular past the det check
+        raise SingularMetricError("isometry is singular") from None
     return 0.5 * (eta + eta.conj().T)
 
 

@@ -236,14 +236,6 @@ class PseudoHermitianRabi:
             raise error
 
     @property
-    def transverse(self) -> complex:
-        return complex(self.rotating_field()[0])
-
-    @property
-    def axial(self) -> complex:
-        return complex(self.rotating_field()[2])
-
-    @property
     def omega_sq(self) -> float:
         """Oscillation frequency squared, -delta * omega."""
         return max(-self.params.delta * self.params.omega, 0.0)
@@ -252,25 +244,13 @@ class PseudoHermitianRabi:
     def oscillation_freq(self) -> float:
         return float(np.sqrt(self.omega_sq))
 
-    @property
-    def is_critical(self) -> bool:
-        """Zero detuning within tolerance, the test classify_regime makes."""
-        p = self.params
-        return _is_critical(p.delta, p.omega, p.b_z, self.tolerance)
-
-    def rotating_field(self) -> np.ndarray:
-        return rotating_frame_field(self.params)
-
-    def hamiltonian(self) -> np.ndarray:
-        return rotating_frame_hamiltonian(self.params)
-
     def b_field(self) -> np.ndarray:
         """Canonical-limit real field (Omega / Omega_R) (b, 0, delta)."""
         p = self.params
         return (self.oscillation_freq / p.rabi_freq) * np.array([p.b, 0.0, p.delta])
 
     def metric_pair(self) -> MetricPair:
-        return build_isometry(self.rotating_field(), self.b_field())
+        return build_isometry(rotating_frame_field(self.params), self.b_field())
 
 
 def ph_rabi_amplitude(pr: PseudoHermitianRabi, t: float | np.ndarray) -> complex | np.ndarray:

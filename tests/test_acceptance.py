@@ -43,6 +43,7 @@ from pseudospin.rabi import (
     ph_condition_residual,
     ph_condition_residual_spin_valve,
     ph_rabi_amplitude,
+    rotating_frame_hamiltonian,
     solve_suppression_B,
     solve_suppression_spin_valve,
 )
@@ -125,7 +126,7 @@ def test_ac03_suppressed_rabi_amplitude():
     residual = ph_condition_residual(SUPPRESSED)
     pr = PseudoHermitianRabi(SUPPRESSED)
     pair = pr.metric_pair()
-    h = pr.hamiltonian()
+    h = rotating_frame_hamiltonian(pr.params)
     up = pair.isometry @ np.array([1.0, 0.0])
     down = pair.isometry @ np.array([0.0, 1.0])
     worst = 0.0
@@ -145,7 +146,7 @@ def test_ac04_unitarity_split():
     """Metric norm conserved to 1e-9 while the canonical norm wanders."""
     pr = PseudoHermitianRabi(SUPPRESSED)
     pair = pr.metric_pair()
-    h = pr.hamiltonian()
+    h = rotating_frame_hamiltonian(pr.params)
     psi0 = pair.isometry @ np.array([0.0, 1.0])
     psi0 = psi0 / np.sqrt(inner(psi0, psi0, pair.eta).real)
     eta_drift, canonical_dev = 0.0, 0.0
@@ -210,7 +211,7 @@ def test_ac08_damping_suppression_witness():
     """On-condition: undamped metric precession; 5% off: visible damping."""
     pr = PseudoHermitianRabi(SUPPRESSED)
     pair = pr.metric_pair()
-    h_on = pr.hamiltonian()
+    h_on = rotating_frame_hamiltonian(pr.params)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     psi0 = psi0 / np.sqrt(inner(psi0, psi0, pair.eta).real)
     drift = 0.0

@@ -110,6 +110,36 @@ def test_metric_from_limit_family(tmp_path):
     assert eta.shape == (2, 2, 2)
 
 
+# an in-plane pair build_isometry accepts whose M M^dagger rounds to a singular matrix
+ROUNDS_SINGULAR = {
+    "field": [[0.0011074428195355542, 10017.874927409892], [0.0, 0.0],
+              [10067.661995777755, -0.0011019662420150892]],
+    "b_field": [0.0001, 0.0, 1000.0],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [("metric", {}),
+     ("evolve", {"metric": "eta", "state": [1, 0], "time": {"stop": 1.0, "num": 3}})],
+)
+def test_isometry_whose_metric_rounds_singular_exits_2(tmp_path, kind, extra):
+    scen = write_scenario(tmp_path, {"kind": kind, **ROUNDS_SINGULAR, **extra})
+    out = tmp_path / "out"
+    assert run_cli(kind, scen, out) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error == {"error": "SingularMetricError", "message": "isometry is singular"}
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+def test_metric_real_field_without_b_field_or_alpha_pairs_with_itself(tmp_path):
+    scen = write_scenario(tmp_path, {"kind": "metric", "field": [0.8, 0.0, 0.3]})
+    assert run_cli("metric", scen, tmp_path / "out") == 0
+    report = json.loads((tmp_path / "out" / "metric.json").read_text())
+    assert report["b_field"] == report["field"] == [[0.8, 0.0], [0.0, 0.0], [0.3, 0.0]]
+    assert report["checks"]["eta_identity_distance"] == 0.0
+
+
 def test_evolve_zero_hamiltonian_is_constant(tmp_path):
     scen = write_scenario(
         tmp_path,
@@ -501,6 +531,24 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
                                 "time": {"stop": 1.0, "num": 2.7}}, id="time-num-fractional"),
         pytest.param("sweep", {"grid": {"b": {"start": 0.5, "stop": 1.5, "num": 2.5}},
                                "b_z": 1.0, "omega": 2.0, "alpha": 0.5}, id="sweep-num-fractional"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0],
+                                "time": {"start": 1.0, "stop": 0.5, "step": 0.1}},
+                     id="time-stop-before-start"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0], "time": {"stop": 1.0}},
+                     id="time-without-step-or-num"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0], "time": [0.0, 1.0]},
+                     id="time-not-an-object"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0],
+                                "time": {"stop": 1.0, "step": 0}}, id="time-step-zero"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0],
+                                "time": {"stop": 1.0, "step": -0.1}}, id="time-step-negative"),
+        pytest.param("check", {"field": [10**400, 0, 0]}, id="check-field-int-of-401-digits"),
+        pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0], "metric": "lorentz",
+                                "time": {"stop": 1.0, "num": 2}}, id="evolve-unknown-metric-tag"),
+        pytest.param("metric", {"field": [1.0, 0.0, [0.0, 0.6]], "alpha": 0},
+                     id="metric-limit-family-alpha-zero"),
+        pytest.param("metric", {"field": [1.0, 0.0, [0.0, 0.6]]},
+                     id="metric-complex-field-without-b-field-or-alpha"),
     ],
 )
 def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
@@ -696,6 +744,15 @@ def test_broken_json_is_validation_error(tmp_path):
     assert run_cli("check", path, tmp_path / "out") == 2
 
 
+def test_scenario_that_is_a_json_array_is_validation_error(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text('[{"kind": "check", "field": [1.0, 0.0, 0.5]}]')
+    out = tmp_path / "out"
+    assert run_cli("check", path, out) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error == {"error": "ValidationError", "message": "scenario must be a JSON object"}
+
+
 # ----------------------------------------------------------------- emission
 
 
@@ -723,6 +780,22 @@ def test_emit_refuses_non_finite_trajectory(tmp_path):
     with pytest.raises(ValidationError):
         emit_trajectory(traj, tmp_path / "nan.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_emit_refuses_a_trajectory_without_norms(tmp_path):
+    traj = Trajectory(times=[0.0], states=np.array([[1.0, 0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="^trajectory has no norm record$"):
+        emit_trajectory(traj, tmp_path / "bare.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("text", ["b,b_z,omega\n1,1,2\n", "t,amp_re,amp_im\n0,0,0\n1,0,0.5\n"],
+                         ids=["sweep-like", "amplitude"])
+def test_read_refuses_a_csv_that_is_not_a_trajectory(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match="not a trajectory file"):
+        read_trajectory(path)
 
 
 def test_trajectory_round_trip_is_bit_identical(tmp_path):
@@ -834,6 +907,14 @@ class _Dict(dict):
     pass
 
 
+class _Complex(complex):
+    pass
+
+
+class _Array(np.ndarray):
+    pass
+
+
 class _Level(IntEnum):
     LOW = -3
     HIGH = 2**70
@@ -860,6 +941,8 @@ REPORT_LEAVES = st.one_of(
     st.integers().map(_Int),
     REPORT_FLOATS.map(_Float),
     st.sampled_from(_Level),
+    REPORT_COMPLEX.map(_Complex),
+    hnp.arrays(np.float64, REPORT_ARRAY_SHAPES, elements=REPORT_FLOATS).map(lambda a: a.view(_Array)),
 )
 REPORT_KEYS = st.text(max_size=4) | st.text(max_size=4).map(_Str)
 REPORT_VALUES = st.recursive(

@@ -130,6 +130,15 @@ def test_bloch_eta_dressed_equals_canonical_of_preimage():
         assert dressed.dtype == np.float64
 
 
+@pytest.mark.parametrize(
+    "observables, message",
+    [("dressed", "^dressed observables require the isometry$"), ("lab", "^unknown observable set 'lab'$")],
+)
+def test_bloch_eta_refuses_an_observable_set_it_cannot_average(observables, message):
+    with pytest.raises(ValidationError, match=message):
+        bloch_eta([1.0, 0.0], IDENTITY2, observables)
+
+
 def test_bloch_eta_bare_real_field_limit():
     # with b = f the metric is the identity and the eigenstate points along b
     b = np.array([0.6, 0.0, 0.8])
@@ -636,6 +645,19 @@ def test_model_table_takes_an_alpha_whose_square_is_just_finite():
 def test_trajectory_requires_increasing_times():
     with pytest.raises(ValidationError):
         Trajectory(times=[0.0, 0.0], states=np.zeros((2, 3)))
+
+
+def test_trajectory_requires_as_many_states_as_times():
+    with pytest.raises(ValidationError, match="^states and times must have equal length$"):
+        Trajectory(times=[0.0, 1.0], states=np.zeros((3, 3)))
+
+
+def test_integrate_on_one_sample_is_the_initial_state():
+    rate, _ = bloch_model("llg", AXIS, 0.1)
+    traj = integrate(rate, [0.6, 0.0, 0.8], [2.5])
+    assert traj.times.tolist() == [2.5]
+    assert traj.states.tolist() == [[0.6, 0.0, 0.8]]
+    assert traj.norms["raw"].tolist() == [np.linalg.norm([0.6, 0.0, 0.8])]
 
 
 def test_integrate_checks_its_grid_once(monkeypatch):

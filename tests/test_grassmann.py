@@ -15,8 +15,6 @@ from pseudospin.grassmann import (
     GrassmannElement,
     correspondence_suite,
     dirac_bracket,
-    element_components,
-    element_from_components,
     generator,
     graded_commutator,
     involution_plus,
@@ -137,9 +135,28 @@ def test_parity_bookkeeping():
         (even + odd).parity()
 
 
-def test_component_round_trip():
-    f = random_element(RNG)
-    assert dist(element_from_components(*element_components(f)), f) < 1e-15
+def test_element_difference_negation_scaling_and_repr():
+    one = GrassmannElement.from_scalar(1.0)
+    f = one + XI[0] * XI[2] * 2j
+    assert f - one == 2j * (XI[0] * XI[2])
+    assert -f == f * -1.0 and np.array_equal((-f).coeffs, -f.coeffs)
+    assert f + -f == GrassmannElement()
+    assert repr(f) == "GrassmannElement((1+0j)*1 + (0+2j)*x1x3)"
+    assert repr(GrassmannElement()) == "GrassmannElement(0)"
+    assert f != 1.0
+    for other in (1.0, "x"):
+        with pytest.raises(TypeError):
+            f + other
+        with pytest.raises(TypeError):
+            f - other
+
+
+def test_generator_and_monomial_indices_are_checked():
+    with pytest.raises(ValidationError, match="^generator index must be 1, 2 or 3$"):
+        generator(4)
+    for bad in ((1, 1), (0,), (1, 4)):
+        with pytest.raises(ValidationError, match="^bad monomial indices"):
+            generator(1).coefficient(bad)
 
 
 # -------------------------------------------------------------- involutions
@@ -358,7 +375,7 @@ def test_bracket_graded_antisymmetry():
 
 def test_bracket_rejects_mixed_parity():
     with pytest.raises(NonHomogeneousError):
-        dirac_bracket(XI[0] + GrassmannElement.one(), XI[1])
+        dirac_bracket(XI[0] + GrassmannElement.from_scalar(1.0), XI[1])
 
 
 def test_right_and_left_derivatives():
@@ -409,7 +426,7 @@ def test_quantize_images_match_permutation_sum():
 
 
 def test_quantize_unit_and_generators():
-    assert np.array_equal(quantize(GrassmannElement.one()), IDENTITY2)
+    assert np.array_equal(quantize(GrassmannElement.from_scalar(1.0)), IDENTITY2)
     assert np.allclose(quantize(XI[0]), SIGMA1 / np.sqrt(2.0), atol=1e-16)
 
 
@@ -496,7 +513,7 @@ def test_correspondence_hamiltonian_pairs_exact():
 
 
 def test_correspondence_with_unit_is_trivial():
-    rep = verify_correspondence(GrassmannElement.one(), random_homogeneous(RNG, 0))
+    rep = verify_correspondence(GrassmannElement.from_scalar(1.0), random_homogeneous(RNG, 0))
     assert rep.exact
     assert np.max(np.abs(rep.bracket_image)) == 0.0
     assert np.max(np.abs(rep.commutator_image)) < 1e-15
@@ -543,7 +560,7 @@ def test_every_suite_pair_takes_the_one_verify_path():
 
 
 def test_batched_verify_rejects_mixed_parity():
-    mixed = GrassmannElement.one() + XI[0]
+    mixed = GrassmannElement.from_scalar(1.0) + XI[0]
     with pytest.raises(NonHomogeneousError):
         verify_correspondence(mixed, XI[1])
     with pytest.raises(NonHomogeneousError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +21,8 @@ from pseudospin.exceptions import (
     NormMismatchError,
     PlaneRestrictionViolatedError,
     SingularEigenbasisError,
+    SingularMetricError,
+    ValidationError,
 )
 from pseudospin.metric import (
     build_isometry,
@@ -26,6 +30,7 @@ from pseudospin.metric import (
     canonical_rotation,
     eigenpairs_complex,
     eta_adjoint,
+    eta_from_isometry,
     is_pseudo_hermitian,
 )
 
@@ -81,6 +86,15 @@ def test_pseudo_hermitian_iff_field_square_nonnegative_real():
         assert is_pseudo_hermitian(hamiltonian_from_field(f)) == expected
         hits += expected
     assert 0 < hits < 1000  # both branches exercised
+
+
+@pytest.mark.parametrize("test", [spectrum, is_pseudo_hermitian])
+def test_overflowing_field_square_is_refused_without_a_warning(test):
+    h = hamiltonian_from_field([1e200, 0, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^field square inf\\+0j is not finite$"):
+            test(h)
 
 
 # ----------------------------------------------------------------- rotation
@@ -153,6 +167,10 @@ def test_canonical_limit_errors():
         canonical_limit_field(lambda a: np.zeros(3), 0.1)
     with pytest.raises(NonPseudoHermitianError):
         canonical_limit_field(lambda a: np.array([1.0, 0, 2j * a]), 1.0)  # square -3
+    with pytest.raises(PlaneRestrictionViolatedError):
+        canonical_limit_field(lambda a: np.array([1.0, 0.5 * a, 1j * a]), 0.5)
+    with pytest.raises(PlaneRestrictionViolatedError):
+        canonical_limit_field(lambda a: np.array([1.0, 0.5, 1j * a]), 0.5)
 
 
 # -------------------------------------------------------------- eigenvectors
@@ -183,6 +201,8 @@ def test_eigenpairs_damped_form():
 def test_eigenpairs_rejects_singular_basis():
     with pytest.raises(SingularEigenbasisError):
         eigenpairs_complex([0, 0, 1.0])
+    with pytest.raises(PlaneRestrictionViolatedError):
+        eigenpairs_complex([1.0, 0.5, 1j])
 
 
 # ------------------------------------------------------------------ isometry
@@ -193,6 +213,26 @@ def test_isometry_identity_when_fields_match():
     pair = build_isometry(b, b)
     assert np.allclose(pair.isometry, IDENTITY2, atol=1e-14)
     assert np.allclose(pair.eta, IDENTITY2, atol=1e-14)
+
+
+def test_isometry_rejects_a_vanishing_first_component():
+    with pytest.raises(SingularEigenbasisError):
+        build_isometry([0, 0, 1], [0, 0, 1])
+
+
+# b = (1e-4, 0, 1e3) rotated by the complex angle 1e-8 + 3i: |det M| is about 1e-8, but
+# M M^dagger rounds to a singular matrix
+ROUNDS_SINGULAR = (
+    [0.0011074428195355542 + 10017.874927409892j, 0.0, 10067.661995777755 - 0.0011019662420150892j],
+    [0.0001, 0.0, 1000.0],
+)
+
+
+def test_isometry_whose_metric_rounds_singular_is_a_singular_metric_error():
+    with pytest.raises(SingularMetricError, match="^isometry is singular$"):
+        build_isometry(*ROUNDS_SINGULAR)
+    with pytest.raises(SingularMetricError, match="^isometry is singular$"):
+        eta_from_isometry(np.zeros((2, 2)))
 
 
 def test_isometry_damped_field_matches_closed_form_metric():
@@ -307,6 +347,11 @@ def test_eta_adjoint_identity_metric_is_dagger():
 def test_eta_adjoint_diagonal_metric():
     expected = np.array([[0.0, 0.5], [2.0, 0.0]])
     assert np.allclose(eta_adjoint(SIGMA1, np.diag([2.0, 1.0])), expected, atol=1e-14)
+
+
+def test_eta_adjoint_rejects_a_singular_metric():
+    with pytest.raises(SingularMetricError, match="^metric is singular$"):
+        eta_adjoint(SIGMA1, np.diag([1.0, 0.0]))
 
 
 def test_damped_hamiltonian_is_eta_hermitian():

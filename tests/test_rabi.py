@@ -17,6 +17,7 @@ from pseudospin.exceptions import (
 from pseudospin.linalg import SIGMA1, SIGMA3
 from pseudospin.metric import canonical_limit_field, eta_adjoint
 from pseudospin.rabi import (
+    REGIME_CRITICAL,
     PseudoHermitianRabi,
     RabiParameters,
     classify_regime,
@@ -296,7 +297,8 @@ def test_ph_rabi_rejects_imaginary_frequency_side():
 
 def test_ph_rabi_consistency_triangle():
     pr = PseudoHermitianRabi(SUPPRESSED)
-    sq = pr.transverse**2 + pr.axial**2
+    f = rotating_frame_field(pr.params)
+    sq = complex(f[0]) ** 2 + complex(f[2]) ** 2
     assert sq == pytest.approx(2.0, abs=1e-12)  # -delta * omega
     assert pr.omega_sq == pytest.approx(2.0, abs=1e-14)
     b = pr.b_field()
@@ -319,7 +321,7 @@ def test_ph_rabi_b_field_matches_canonical_limit():
 def test_ph_rabi_metric_matches_printed_form():
     pr = PseudoHermitianRabi(SUPPRESSED)
     p = pr.params
-    f, d = pr.transverse, pr.axial
+    f, d = complex(rotating_frame_field(p)[0]), complex(rotating_frame_field(p)[2])
     omega_r, omega_osc = p.rabi_freq, pr.oscillation_freq
     denom = p.b**2 * pr.omega_sq
     shift = p.delta * omega_osc - d * omega_r
@@ -343,7 +345,7 @@ def test_ph_amplitude_closed_form():
 def test_ph_amplitude_matches_metric_evolution():
     pr = PseudoHermitianRabi(SUPPRESSED)
     pair = pr.metric_pair()
-    h = pr.hamiltonian()
+    h = rotating_frame_hamiltonian(pr.params)
     up = pair.isometry @ np.array([1.0, 0.0])
     down = pair.isometry @ np.array([0.0, 1.0])
     for t in np.linspace(0.0, 20.0, 41):
@@ -365,24 +367,32 @@ def test_ph_amplitude_zero_damping_limit_recovers_undamped_form():
 
 def test_ph_amplitude_critical_point_is_silent():
     pr = PseudoHermitianRabi(RabiParameters(b=1.0, b_z=2.0, omega=2.0, alpha=0.5))
-    assert pr.is_critical
+    assert classify_regime(pr.params, pr.tolerance) == REGIME_CRITICAL
     assert pr.omega_sq == 0.0
     assert ph_rabi_amplitude(pr, 5.0) == 0.0
+
+
+@pytest.mark.parametrize("t", [0.7, np.linspace(0.0, 5.0, 6).reshape(2, 3)], ids=["scalar", "array"])
+def test_amplitudes_at_zero_rabi_frequency_are_zeros_of_the_shape_of_t(t):
+    still = rabi_amplitude(RabiParameters(b=0.0, b_z=1.5, omega=1.5), t)
+    pr = PseudoHermitianRabi(RabiParameters(b=0.0, b_z=0.0, omega=0.0, alpha=0.5))
+    for amp in (still, ph_rabi_amplitude(pr, t)):
+        assert amp.shape == np.shape(t) and amp.dtype == complex and not amp.any()
 
 
 def test_is_critical_is_the_tolerance_test_of_classify_regime():
     p = RabiParameters(b=1.0, b_z=2.0 + 4e-12, omega=2.0, alpha=0.5)
     assert classify_regime(p) == "critical"
-    assert PseudoHermitianRabi(p).is_critical
+    pr = PseudoHermitianRabi(p)
+    assert classify_regime(pr.params, pr.tolerance) == REGIME_CRITICAL
 
 
 def test_rotating_field_is_the_rotating_frame_field():
     p = RabiParameters(b=1.0, b_z=2.0 + 4e-12, omega=2.0, alpha=0.5)
-    pr = PseudoHermitianRabi(p)
-    assert pr.rotating_field().tobytes() == rotating_frame_field(p).tobytes()
-    assert pr.hamiltonian().tobytes() == rotating_frame_hamiltonian(p).tobytes()
-    assert pr.transverse == p.damping_factor() * p.b
-    assert pr.axial == p.damping_factor() * p.b_z - p.omega
+    f = rotating_frame_field(p)
+    assert rotating_frame_hamiltonian(p).tobytes() == hamiltonian_from_field(f).tobytes()
+    assert complex(f[0]) == p.damping_factor() * p.b
+    assert complex(f[2]) == p.damping_factor() * p.b_z - p.omega
 
 
 def test_omega_squared_branches():
