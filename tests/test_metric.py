@@ -231,6 +231,7 @@ ROUNDS_SINGULAR = (
 def test_isometry_whose_metric_rounds_singular_is_a_singular_metric_error():
     with pytest.raises(SingularMetricError, match="^isometry is singular$"):
         build_isometry(*ROUNDS_SINGULAR)
+    # the same refusal as an isometry whose determinant fails the check outright
     with pytest.raises(SingularMetricError, match="^isometry is singular$"):
         eta_from_isometry(np.zeros((2, 2)))
 
