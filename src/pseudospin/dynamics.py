@@ -99,12 +99,11 @@ def _rate_at(n, model: tuple) -> np.ndarray:
     return np.stack(model[0](np.moveaxis(_three_vectors(n), -1, 0)), axis=-1)
 
 
-# Rates of the bloch models, one factory each; only bloch_model calls them.  A rate takes n as three
-# floats (or component arrays) and computes each cross product inline in numpy.cross's order.
-def _damped_rate(fr, fi):
-    """rate(n) = -n x Re(F) - n x (n x Im(F))."""
-    fr1, fr2, fr3 = fr
-    fi1, fi2, fi3 = fi
+def _damped_rate(f):
+    """rate(n) = -n x Re(F) - n x (n x Im(F)), the one rate of every bloch model (F = its F_eq), for
+    n as three floats (or component arrays); each cross product is inline in numpy.cross's order."""
+    fr1, fr2, fr3 = f.real.tolist()
+    fi1, fi2, fi3 = f.imag.tolist()
 
     def rate(n):
         n1, n2, n3 = n
@@ -118,47 +117,6 @@ def _damped_rate(fr, fi):
         )
 
     return rate
-
-
-def _gilbert_rate(b, alpha, a=None, p=None):
-    """rate(n) = -(n x b) / (1 + alpha^2) - alpha n x (n x b) / (1 + alpha^2), plus with a
-    polarization p the spin-transfer torque a n x (n x p)."""
-    b1, b2, b3 = b
-    try:
-        scale = 1.0 + alpha**2
-    except OverflowError:  # |alpha| above about 1.34e154
-        raise ValidationError(f"alpha: 1 + alpha**2 overflows, got {alpha!r}") from None
-
-    def gilbert(n):
-        n1, n2, n3 = n
-        c1 = n2 * b3 - n3 * b2
-        c2 = n3 * b1 - n1 * b3
-        c3 = n1 * b2 - n2 * b1
-        return (
-            (-c1) / scale - (alpha * (n2 * c3 - n3 * c2)) / scale,
-            (-c2) / scale - (alpha * (n3 * c1 - n1 * c3)) / scale,
-            (-c3) / scale - (alpha * (n1 * c2 - n2 * c1)) / scale,
-        )
-
-    if p is None:
-        return gilbert
-    p1, p2, p3 = p
-
-    def spin_valve(n):
-        n1, n2, n3 = n
-        c1 = n2 * b3 - n3 * b2
-        c2 = n3 * b1 - n1 * b3
-        c3 = n1 * b2 - n2 * b1
-        e1 = n2 * p3 - n3 * p2
-        e2 = n3 * p1 - n1 * p3
-        e3 = n1 * p2 - n2 * p1
-        return (
-            ((-c1) / scale - (alpha * (n2 * c3 - n3 * c2)) / scale) + a * (n2 * e3 - n3 * e2),
-            ((-c2) / scale - (alpha * (n3 * c1 - n1 * c3)) / scale) + a * (n3 * e1 - n1 * e3),
-            ((-c3) / scale - (alpha * (n1 * c2 - n2 * c1)) / scale) + a * (n1 * e2 - n2 * e1),
-        )
-
-    return spin_valve
 
 
 def rhs_damped_precession(n, field) -> np.ndarray:
@@ -195,34 +153,31 @@ def bloch_model(model: str, field, alpha=None, a=None, polarization=None):
     a non-finite or non-real alpha or a, and a polarization whose shape is
     not (3,) are ValidationErrors; a parameter it does not take is ignored.
     """
-    f = as_field(field)
-    if model in ("damped", "precession"):
-        fr, fi = f.real.tolist(), f.imag.tolist()
-        return _damped_rate(fr, fi), f
-    if model == "llg":
-        needs = {"alpha": alpha}
-    elif model == "llg_spin_valve":
-        needs = {"alpha": alpha, "a": a, "polarization": polarization}
-    else:
+    f_eq = as_field(field)
+    if model in ("llg", "llg_spin_valve"):
+        params = {"alpha": alpha, "a": a, "polarization": polarization}
+        needs = params if model == "llg_spin_valve" else {"alpha": alpha}
+        missing = [name for name, value in needs.items() if value is None]
+        if missing:
+            raise ValidationError(f"bloch model {model!r} needs {', '.join(missing)}")
+        _require_finite_reals({"alpha": alpha, "a": needs.get("a", 0.0)})
+        if np.any(f_eq.imag != 0.0):
+            raise ValidationError(f"bloch model {model!r} needs a real field")
+        f_eq = f_eq.real / (1.0 - 1j * alpha)
+        if model == "llg_spin_valve":
+            p = np.asarray(polarization, dtype=float)
+            if p.shape != (3,):
+                raise ValidationError(f"polarization: expected shape (3,), got {p.shape}")
+            if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
+                raise ValidationError("polarization direction must be a unit vector")
+            f_eq = f_eq - 1j * a * p
+        try:  # F_eq never forms 1 + alpha^2, but an |alpha| past about 1.34e154 stays refused
+            1.0 + alpha**2
+        except OverflowError:
+            raise ValidationError(f"alpha: 1 + alpha**2 overflows, got {alpha!r}") from None
+    elif model not in ("damped", "precession"):
         raise ValidationError(f"unknown bloch model {model!r}")
-    missing = [name for name, value in needs.items() if value is None]
-    if missing:
-        raise ValidationError(f"bloch model {model!r} needs {', '.join(missing)}")
-    _require_finite_reals({"alpha": alpha, "a": needs.get("a", 0.0)})
-    if np.any(f.imag != 0.0):
-        raise ValidationError(f"bloch model {model!r} needs a real field")
-    b = f.real
-    gilbert = b / (1.0 - 1j * alpha)
-    bl = b.tolist()
-    if model == "llg":
-        return _gilbert_rate(bl, alpha), gilbert
-    p = np.asarray(polarization, dtype=float)
-    if p.shape != (3,):
-        raise ValidationError(f"polarization: expected shape (3,), got {p.shape}")
-    if not abs(np.sqrt(p @ p) - 1.0) <= 1e-10:  # NaN fails this test too
-        raise ValidationError("polarization direction must be a unit vector")
-    pl = p.tolist()
-    return _gilbert_rate(bl, alpha, a, pl), gilbert - 1j * a * p
+    return _damped_rate(f_eq), f_eq
 
 
 @dataclass

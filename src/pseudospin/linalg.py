@@ -171,6 +171,8 @@ def evolve_operator(op, t: float | np.ndarray) -> np.ndarray:
 def validate_metric(eta) -> np.ndarray:
     """Check that eta is Hermitian positive-definite; return the Hermitized copy."""
     m = as_operator(eta)
+    if not np.isfinite(m).all():
+        raise InvalidMetricError("metric has a non-finite entry")
     scale = max(np.linalg.norm(m), 1e-300)
     if np.linalg.norm(m - m.conj().T) > 1e-10 * max(scale, 1.0):
         raise InvalidMetricError("metric is not Hermitian within tolerance")

@@ -51,20 +51,28 @@ def taylor_expm(m: np.ndarray, terms: int = 20) -> np.ndarray:
 
 
 def reference_rhs(model: str, field, alpha: float = 0.0, a: float = 0.0, polarization=None):
-    """The bloch right-hand sides as first written, on np.cross, for bit-identity checks."""
-    if model == "damped":
-        f = np.asarray(field, dtype=complex)
-        return lambda _t, n: -np.cross(n, f.real) - np.cross(n, np.cross(n, f.imag))
+    """The bloch right-hand sides on np.cross, for bit-identity checks: damped precession under
+    each model's F_eq, formed as bloch_model forms it (gilbert_rhs is the Gilbert form itself)."""
+    f = np.asarray(field, dtype=complex)
+    if model != "damped":
+        f = f.real / (1.0 - 1j * alpha)
+        if model == "llg_spin_valve":
+            f = f - 1j * a * np.asarray(polarization, dtype=float)
+    return lambda _t, n: -np.cross(n, f.real) - np.cross(n, np.cross(n, f.imag))
+
+
+def gilbert_rhs(field, alpha: float, a: float = 0.0, polarization=(0.0, 0.0, 0.0)):
+    """The Gilbert form as first written, on np.cross: (n x b + alpha n x (n x b)) / (1 + alpha^2)
+    negated, plus the spin-transfer torque a n x (n x P); an oracle independent of F_eq."""
     b = np.asarray(field, dtype=float)
+    p = np.asarray(polarization, dtype=float)
     scale = 1.0 + alpha**2
 
-    def llg(_t, n):
-        return -np.cross(n, b) / scale - alpha * np.cross(n, np.cross(n, b)) / scale
+    def rhs(_t, n):
+        llg = -np.cross(n, b) / scale - alpha * np.cross(n, np.cross(n, b)) / scale
+        return llg + a * np.cross(n, np.cross(n, p))
 
-    if model == "llg":
-        return llg
-    p = np.asarray(polarization, dtype=float)
-    return lambda t, n: llg(t, n) + a * np.cross(n, np.cross(n, p))
+    return rhs
 
 
 def reference_rk4(rhs, n0, t, renormalize: bool = False):

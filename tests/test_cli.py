@@ -132,6 +132,25 @@ def test_isometry_whose_metric_rounds_singular_exits_2(tmp_path, kind, extra):
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+@pytest.mark.parametrize(
+    "kind, extra",
+    [("metric", {}),
+     ("evolve", {"metric": "eta", "state": [1, 0], "time": {"stop": 1.0, "num": 3}})],
+)
+def test_square_sums_too_far_apart_for_a_small_first_component_exit_2(tmp_path, kind, extra):
+    # an isometry of this pair would leave a similarity residual of 1e-3
+    scen = write_scenario(tmp_path, {
+        "kind": kind, "field": [1e-8, 0, 1], "b_field": [1e-8, 0, 1.00000000001], **extra,
+    })
+    out = tmp_path / "out"
+    assert run_cli(kind, scen, out) == 2
+    error = json.loads((out / "error.json").read_text())
+    assert error == {
+        "error": "NormMismatchError", "message": "square-sums differ by 2e-11, too much for |f1| = 1e-08"
+    }
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
 def test_metric_real_field_without_b_field_or_alpha_pairs_with_itself(tmp_path):
     scen = write_scenario(tmp_path, {"kind": "metric", "field": [0.8, 0.0, 0.3]})
     assert run_cli("metric", scen, tmp_path / "out") == 0

@@ -26,7 +26,7 @@ from pseudospin.exceptions import StepTooLargeError, ValidationError, ZeroStateE
 from pseudospin.linalg import validate_metric
 from pseudospin.metric import build_isometry
 
-from helpers import plane_rotation, random_state, reference_rhs, reference_rk4
+from helpers import gilbert_rhs, plane_rotation, random_state, reference_rhs, reference_rk4
 
 RNG = np.random.default_rng(42)
 
@@ -569,6 +569,26 @@ def test_public_rhs_on_a_stack_equals_its_rows_and_numpy_cross(model, stack, b, 
     for other in (rows, reference):
         assert np.array_equal(stacked, other, equal_nan=True)
         assert np.array_equal(np.signbit(stacked[signed]), np.signbit(other[signed]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    model=st.sampled_from(["llg", "llg_spin_valve"]),
+    b=st.builds(lambda e, u: 10.0**e * u, st.floats(-3.0, 3.0), UNITS),
+    alpha=st.floats(-2.0, 2.0),
+    a=st.builds(lambda e, s: s * 10.0**e, st.floats(-3.0, 3.0), st.sampled_from([-1.0, 1.0])),
+    p=UNITS,
+    n=st.lists(UNITS, min_size=1, max_size=4).map(np.array),
+)
+def test_llg_rates_match_the_gilbert_form(model, b, alpha, a, p, n):
+    # the shipped rate is damped precession under F_eq; the Gilbert form as first written checks it
+    if model == "llg":
+        a = 0.0
+    expected = gilbert_rhs(b, alpha, a, p)(0.0, n)
+    rate, _ = bloch_model(model, b, alpha, a, p)
+    tol = 8.0 * np.finfo(float).eps * (np.linalg.norm(b) + abs(a))
+    for got in (_public_rhs(model, b, alpha, a, p)(n), np.stack(rate(n.T), axis=-1)):
+        assert np.max(np.abs(got - expected)) <= tol
 
 
 def test_model_table_rejects_unknown_model_and_polarization():

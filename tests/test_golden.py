@@ -193,20 +193,20 @@ GOLDEN = {
         "trajectory.csv": "fd4b72c699055fafc7951103f4cb45d42689ad44e16ccb4c502ba166eb85a5c0",
     },
     "bloch-llg-raw": {
-        "bloch.json": "e7e1a7cf9976ad0454bb6268ea905f0479bb78383c777617e263bdb5b9edc570",
-        "trajectory.csv": "e31d9258e08bf659b2b53ae052bf66de0e49859391c402e6d22488a8a172e870",
+        "bloch.json": "0d9a458b1b4ddc736391efdf34b75c7fe4d1d9448872800e22067f323ae3d484",
+        "trajectory.csv": "28307c8aa056454983709702f1fed1922f96d15b4f34326282073c5fc7d5b8c6",
     },
     "bloch-llg-renorm": {
-        "bloch.json": "8c444fc58a918d9f79d1a07dbfa5321a32a03a571ed998a92e725d04393c530e",
-        "trajectory.csv": "98e17bc76a118a7b2af84e8c938b52b1923a1cc65787f14ba88c969e3c307a10",
+        "bloch.json": "a218b9b6733cc0d09ff1e0f02ead953d5ac492a670a77afac9bbc18b71951989",
+        "trajectory.csv": "dbdfc0cf0c6c38b3295c41992fb13297a689ee6ddb896c9a6b12b177dcaa0c9d",
     },
     "bloch-llg_spin_valve-raw": {
-        "bloch.json": "399ed70958b99676a5c08a6d29cd845cf7c5682e22b24487940703392e9f3f09",
-        "trajectory.csv": "e4eab1b1c8804864d73f84ccc96fe12ee6dfa9fb436789e77ee24f865865e3cf",
+        "bloch.json": "803fdf90ef891b70411b4a812b4657e7dfcc3ab20a643a3a6611f68edb1e60ec",
+        "trajectory.csv": "3ee2ea7440e8bfc57707109355f9a38b7ac409f94459f985ec3828f5cef4a3ff",
     },
     "bloch-llg_spin_valve-renorm": {
-        "bloch.json": "f2dc1c09f95cebeb711e5afdd2289c2ce4c63c0aadd1626f85d55224836b9b37",
-        "trajectory.csv": "28129652cb7e099863b60616c8f15f1638eb54dc27d658ca45ac6081b334b6f2",
+        "bloch.json": "5f14109c3b667ec8c293844327472de25b8b3f227ca0fe76932405d0cbcb90a5",
+        "trajectory.csv": "4e998f160ef17f90c85ac8f2fc96ae54cf8ba92e7872a7037eca7a08e7ee3cb2",
     },
     "evolve-canonical": {
         "evolve.json": "ad46af69955dcd13a4075c26d45a870f99c1fd93d497b194b546e7f48a65b7d4",

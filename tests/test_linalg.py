@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from pseudospin import (
     pauli_decompose,
     principal_sqrt,
     spectrum,
+    validate_metric,
 )
 from pseudospin.exceptions import InvalidMetricError, NonTracelessError, ValidationError
 
@@ -209,6 +212,16 @@ def test_inner_rejects_bad_metrics():
         inner([1, 0], [0, 1], np.array([[1.0, 1.0], [0.0, 1.0]]))  # not Hermitian
     with pytest.raises(InvalidMetricError):
         inner([1, 0], [0, 1], np.diag([1.0, -2.0]))  # not positive
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+def test_validate_metric_refuses_a_non_finite_entry_before_any_arithmetic(entry):
+    eta = np.eye(2, dtype=complex)
+    eta[0, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidMetricError, match="^metric has a non-finite entry$"):
+            validate_metric(eta)
 
 
 def test_inner_eta_orthogonal_eigenvectors():

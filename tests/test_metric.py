@@ -236,6 +236,44 @@ def test_isometry_whose_metric_rounds_singular_is_a_singular_metric_error():
         eta_from_isometry(np.zeros((2, 2)))
 
 
+# |f1| = 1e-8 passes the eigenbasis test, and the square-sums differ by 2e-11, inside
+# _check_plane_pair's band, but M would leave a similarity residual (b^2 - f^2) / (2 f1) of 1e-3
+SMALL_F1_MISMATCH = ([1e-8, 0.0, 1.0], [1e-8, 0.0, 1.00000000001])
+
+
+def test_isometry_refuses_a_mismatch_too_large_for_its_first_component():
+    with pytest.raises(NormMismatchError, match=r"too much for \|f1\| = 1e-08"):
+        build_isometry(*SMALL_F1_MISMATCH)
+    # the same first component with square-sums that agree is still an isometry
+    pair = build_isometry([1e-8, 0.0, 1.0], [1e-8, 0.0, 1.0])
+    assert np.array_equal(pair.isometry, IDENTITY2)
+    # a rotation by 3e-9 misses b's square-sum by its rounding, 1.16e-10 = 0.52 eps |b|^2, which
+    # is past 2 |f1| tol |b| = 2e-11 but not refused
+    b = np.array([1e-4, 0.0, 1e3])
+    build_isometry(plane_rotation(1, 3e-9) @ b, b)
+
+
+def test_singularity_is_judged_against_the_matrix_scale():
+    eps = np.finfo(float).eps
+    assert np.allclose(eta_from_isometry(1e-8 * IDENTITY2), 1e16 * IDENTITY2, rtol=4 * eps, atol=0)
+    assert np.array_equal(eta_adjoint(SIGMA1, 1e-160 * IDENTITY2), SIGMA1)
+    assert np.array_equal(eta_adjoint(SIGMA1, 1e200 * IDENTITY2), SIGMA1)  # det overflows
+    # b rotated by pi, an edge of the covariance property: ||M||_F^2 / |det M| = 4e14, and eta's
+    # determinant is 6e-30 of its squared norm, all rounding; both are accepted, as before
+    b = np.array([-1e-4, 0.0, -1e3])
+    f = plane_rotation(1, np.pi) @ b
+    eta_adjoint(hamiltonian_from_field(f), build_isometry(f, b).eta)
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    non_finite = (np.diag([1.0, np.nan]), np.full((2, 2), np.nan), np.diag([np.inf, 1.0]))
+    for m in (singular, np.zeros((2, 2)), *non_finite):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMetricError, match="^isometry is singular$"):
+                eta_from_isometry(m)
+            with pytest.raises(SingularMetricError, match="^metric is singular$"):
+                eta_adjoint(SIGMA1, m)
+
+
 def test_isometry_damped_field_matches_closed_form_metric():
     v, alpha = 1.0, 0.6
     f, b = damped_field(v, alpha), limit_field(v, alpha)
