@@ -17,6 +17,7 @@ text I/O layer.  Identical scenarios produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -48,7 +49,7 @@ from .rabi import (
     PseudoHermitianRabi,
     RabiParameters,
     _is_critical,
-    _surface_error,
+    _surface_test,
     ph_condition_residual,
     ph_condition_residual_spin_valve,
     ph_rabi_amplitude,
@@ -204,22 +205,23 @@ def _report(value, newline: str = "\n") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{newline}{brackets[1]}"
 
 
-# JSON lines per join: holding a str per sweep line until the end costs about 49 B of header
-# a line.
+# JSON lines per join, and sweep lines per block of arrays: holding a str per sweep line until
+# the end costs about 49 B of header a line.
 _BLOCK = 4096
 
 
 def _encode(name: str, content) -> bytes:
     """File bytes by content: a dict is a JSON report, a (header, columns) tuple a CSV table,
     and any other iterable the lines of a JSON-lines file.  Reports and lines are ASCII: their
-    strings went through encode_basestring_ascii."""
+    strings went through encode_basestring_ascii.  A table is a memoryview and JSON lines are a
+    bytearray, grown by a block at a time, so the file is never held twice."""
     try:
         if isinstance(content, dict):
             return (_report(content) + "\n").encode("ascii")
         # lines of _sweep_lines, each checked as it comes, so that the first bad point decides:
         # a non-finite line is refused before a later point raises an OverflowError
         if not isinstance(content, tuple):
-            blocks, block = [], []
+            data, block = bytearray(), []
             for line in content:
                 # NaN and Infinity are the only capital letters such a line can hold; the
                 # message is the one json's C encoder gives for them with allow_nan=False
@@ -227,9 +229,10 @@ def _encode(name: str, content) -> bytes:
                     raise ValueError("Out of range float values are not JSON compliant")
                 block.append(line)
                 if len(block) == _BLOCK:
-                    blocks.append("".join(block).encode("ascii"))
+                    data += "".join(block).encode("ascii")
                     block = []
-            return b"".join(blocks + ["".join(block).encode("ascii")])
+            data += "".join(block).encode("ascii")
+            return data
     except ValueError as exc:  # Infinity and NaN are not JSON
         raise ValidationError(f"result is not finite: {exc}") from exc
     header, columns = content
@@ -423,56 +426,154 @@ def _number(x) -> str:
     return _NON_FINITE.get(text, text)
 
 
+def _numbers(values: np.ndarray) -> list:
+    """_number of each entry of a float64 array, in C order."""
+    floats = values.ravel().tolist()
+    texts = list(map(float.__repr__, floats))
+    # a sum of finite floats is finite unless it overflows, which only costs the slow path
+    return texts if math.isfinite(sum(floats)) else [_NON_FINITE.get(t, t) for t in texts]
+
+
+def _squares(values, stride: int, raised: list) -> list:
+    """Python's x**2 of each value on its own type (numpy's x * x differs in the last bit).  A
+    square that raises OverflowError reads inf, and (stride times the value's position, the
+    error) goes into raised."""
+    squares = []
+    for k, x in enumerate(values):
+        try:
+            squares.append(x**2)
+        except OverflowError as exc:
+            squares.append(math.inf)
+            raised.append((stride * k, exc))
+    return squares
+
+
+def _blocks(n_b: int, n_d: int, n_alpha: int, size: int):
+    """Slices (of b, of drives, of alphas) of blocks of at most size points, in product order:
+    whole b rows, else whole (b, drive) rows, else runs of alphas."""
+    alpha_step = min(n_alpha, size)
+    d_step = min(n_d, max(1, size // n_alpha))
+    b_step = max(1, size // (n_d * n_alpha))
+    for i in range(0, n_b, b_step):
+        for n in range(0, n_d, d_step):
+            for j in range(0, n_alpha, alpha_step):
+                yield (slice(i, min(i + b_step, n_b)), slice(n, min(n + d_step, n_d)),
+                       slice(j, min(j + alpha_step, n_alpha)))
+
+
+# (on the surface, off it) regime fields: classify_regime puts alpha = 0, then a critical drive,
+# before the surface test
+_REGIMES = {
+    kind: (f', "regime": "{on}", ', f', "regime": "{off}", ')
+    for kind, on, off in (
+        ("hermitian", REGIME_HERMITIAN, REGIME_HERMITIAN),
+        ("critical", REGIME_CRITICAL, REGIME_CRITICAL),
+        ("surface", REGIME_PSEUDO_HERMITIAN, REGIME_NON_PSEUDO_HERMITIAN),
+    )
+}
+
+
 def _sweep_lines(axes, tol):
     """Per point of the axes (b, b_z, omega, alpha, a), in itertools.product order, the line
-    json.dumps(record, sort_keys=True, allow_nan=True) writes.  Each value is computed and
-    formatted once per distinct combination of the axes it depends on, keyed by axis index (a
-    value key merges 0.0 and -0.0), by the rabi module's arithmetic in its order on the axes' own
-    types (Python's x**2 and numpy's differ in the last bit).  Squares are taken in the first
-    loop that needs them, so an OverflowError is raised at the point whose record raised it."""
+    json.dumps(record, sort_keys=True, allow_nan=True) writes.
+
+    What depends on fewer than all five axes is computed and formatted once per combination of
+    axis indices it depends on (an index, unlike a value, keeps 0.0 and -0.0 apart), squares by
+    Python's x**2 on the axes' own types.  What depends on b, the drive (b_z, omega) and alpha,
+    rabi_freq_sq, cond_residual and the surface verdict, is computed as float64 arrays over
+    blocks of at most _BLOCK lines, broadcast in the rabi module's operation order, so each is
+    the float the scalar code gives.  A spin-valve residual (a != 0) is computed per point.  A
+    square that raises OverflowError raises it after the lines of the points before the first
+    point whose record needs it, so the first bad point in product order decides between a
+    non-finite line and an overflow.
+    """
     bs, zs, ws, alphas, torques = axes
     b_texts, z_texts, w_texts, alpha_texts, a_texts = ([_number(v) for v in axis] for axis in axes)
-    # per (b_z, omega): delta, delta * omega, the critical test, omega_sq on the surface
-    # (PseudoHermitianRabi.omega_sq) and the fields they give
-    drives = [
-        (z, w, d, d * w, _is_critical(d, w, z, tol), _number(max(-d * w, 0.0)),
-         f'"b_z": {zt}, "cond_residual": %s, "delta": {_number(d)}, "omega": {wt}, "omega_sq": %s')
-        for z, zt in zip(zs, z_texts)
-        for w, wt in zip(ws, w_texts)
-        for d in [z - w]
-    ]
-    suppression = [None] * (len(drives) * len(alphas))  # suppression_b texts, filled on first use
-    for b, b_text in zip(bs, b_texts):
-        b_sq = b**2
-        for n, (z, w, d, dw, critical, omega_sq, drive_fields) in enumerate(drives):
-            d_sq, w_sq = d**2, w**2
-            rabi_freq_sq = b_sq + d_sq
-            fields = (f'"b": {b_text}, {drive_fields}, "rabi_freq_sq": {_number(rabi_freq_sq)}, '
-                      '"regime": "%s", ')
-            for k, (alpha, alpha_text) in enumerate(zip(alphas, alpha_texts), n * len(alphas)):
-                alpha_sq, aw_sq = alpha**2, (alpha * w) ** 2
-                # ph_condition_residual: rabi_freq_sq - (alpha omega)^2 + delta omega (1 - alpha^2)
-                residual = rabi_freq_sq - aw_sq + dw * (1.0 - alpha_sq)
-                on_surface = _surface_error(residual, dw, b_sq, d_sq, w_sq, aw_sq, tol) is None
-                if alpha == 0.0 or critical:  # classify_regime's order
-                    regime = REGIME_HERMITIAN if alpha == 0.0 else REGIME_CRITICAL
+    drives = [(z, w, z - w) for z in zs for w in ws]
+    n_b, n_d, n_alpha = len(bs), len(drives), len(alphas)
+    raised = []  # (point index, OverflowError) of each square that overflows
+    b_sq = np.array(_squares(bs, n_d * n_alpha, raised)).reshape(-1, 1, 1)
+    d_sq = np.array(_squares([d for _, _, d in drives], n_alpha, raised)).reshape(-1, 1)
+    w_sq = np.array(_squares([w for _, w, _ in drives], n_alpha, raised)).reshape(-1, 1)
+    dw = np.array([d * w for _, w, d in drives]).reshape(-1, 1)
+    alpha_sq = np.array(_squares(alphas, 1, raised))
+    aw_sq = np.array(_squares([a * w for _, w, _ in drives for a in alphas], 1, raised))
+    aw_sq = aw_sq.reshape(n_d, n_alpha)  # per (drive, alpha)
+    stop, error = min(raised, key=lambda r: r[0]) if raised else (n_b * n_d * n_alpha, None)
+    # per drive: the fields from b_z to cond_residual's value; the fields from delta to
+    # rabi_freq_sq's value on and off the surface; and the regimes of its nonzero alphas
+    drive_texts = []
+    for (z, w, d), (z_text, w_text) in zip(drives, itertools.product(z_texts, w_texts)):
+        fields = f', "delta": {_number(d)}, "omega": {w_text}, "omega_sq": %s, "rabi_freq_sq": '
+        drive_texts.append((
+            f'"b_z": {z_text}, "cond_residual": ',
+            (fields % _number(max(-d * w, 0.0)), fields % "null"),  # PseudoHermitianRabi.omega_sq
+            _REGIMES["critical" if _is_critical(d, w, z, tol) else "surface"],
+        ))
+    suppression = [None] * (n_d * n_alpha)  # suppression_b texts per (drive, alpha), on first use
+
+    def columns(n, depths):
+        """Per (alpha, a) of drive n, for the alphas of depths: (the line up to b's value, the
+        text after rabi_freq_sq's value on and off the surface, a, alpha, the text after the
+        spin-valve residual's value).  With a = 0 the second item ends the line; otherwise it
+        ends where the spin-valve residual's value goes."""
+        z, w, _ = drives[n]
+        out = []
+        for j in range(depths.start, depths.stop):
+            alpha, q = alphas[j], n * n_alpha + j
+            if suppression[q] is None:
+                try:
+                    suppression[q] = _number(solve_suppression_B(z, w, alpha))
+                except PseudospinError:
+                    suppression[q] = "null"
+                except OverflowError:  # alpha**2, so the sweep stops before alpha's first point
+                    suppression[q] = ""
+            on, off = _REGIMES["hermitian"] if alpha == 0.0 else drive_texts[n][2]
+            last = f'"suppression_b": {suppression[q]}}}\n'
+            for a, a_text in zip(torques, a_texts):
+                start = f'{{"a": {a_text}, "alpha": {alpha_texts[j]}, "b": '
+                if a == 0.0:
+                    out.append((start, (on + last, off + last), a, alpha, ""))
                 else:
-                    regime = REGIME_PSEUDO_HERMITIAN if on_surface else REGIME_NON_PSEUDO_HERMITIAN
-                if suppression[k] is None:
-                    try:
-                        suppression[k] = _number(solve_suppression_B(z, w, alpha))
-                    except PseudospinError:
-                        suppression[k] = "null"
-                head = f'"alpha": {alpha_text}, ' + fields % (
-                    _number(residual), omega_sq if on_surface else "null", regime
-                )
-                tail = f'"suppression_b": {suppression[k]}}}\n'
-                for a, a_text in zip(torques, a_texts):
-                    if a == 0.0:
-                        yield f'{{"a": {a_text}, {head}{tail}'
-                    else:
-                        sv = ph_condition_residual_spin_valve(RabiParameters(b, z, w, alpha, a))
-                        yield f'{{"a": {a_text}, {head}"spin_valve_residual": {_number(sv)}, {tail}'
+                    sv = '"spin_valve_residual": '
+                    out.append((start, (on + sv, off + sv), a, alpha, f", {last}"))
+        return out
+
+    def lines():
+        box = table = None
+        for rows, cols, depths in _blocks(n_b, n_d, n_alpha, max(1, _BLOCK // len(torques))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if box != (cols, depths):  # a single box when every (drive, alpha) fits a block
+                    box = (cols, depths)
+                    table = [columns(n, depths) for n in range(cols.start, cols.stop)]
+                b_blk, d_blk, aw_blk = b_sq[rows], d_sq[cols], aw_sq[cols, depths]
+                rabi_freq_sq = b_blk + d_blk  # per (b, drive)
+                residual = (rabi_freq_sq - aw_blk) + dw[cols] * (1.0 - alpha_sq[depths])
+                off_surface = np.logical_or(*_surface_test(
+                    residual, dw[cols], b_blk, d_blk, w_sq[cols], aw_blk, tol
+                ))
+            offs, residuals = off_surface.ravel().tolist(), _numbers(residual)
+            if len(torques) > 1:  # an entry per line
+                offs, residuals = ([x for x in seq for _ in torques] for seq in (offs, residuals))
+            rabi_texts = iter(_numbers(rabi_freq_sq))
+            k = 0
+            for i in range(rows.start, rows.stop):
+                for n, row in zip(range(cols.start, cols.stop), table):
+                    head, middle, _ = drive_texts[n]
+                    head, rabi_text, end = f'{b_texts[i]}, {head}', next(rabi_texts), k + len(row)
+                    verdicts, texts = offs[k:end], residuals[k:end]
+                    for (start, tails, a, alpha, rest), v, r in zip(row, verdicts, texts):
+                        line = f'{start}{head}{r}{middle[v]}{rabi_text}{tails[v]}'
+                        if a == 0.0:
+                            yield line
+                        else:
+                            p = RabiParameters(bs[i], *drives[n][:2], alpha, a)
+                            yield f'{line}{_number(ph_condition_residual_spin_valve(p))}{rest}'
+                    k = end
+
+    yield from itertools.islice(lines(), stop * len(torques))
+    if error is not None:
+        raise error
 
 
 def _run_rabi(scenario, tol, step):

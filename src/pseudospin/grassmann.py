@@ -262,17 +262,20 @@ def left_derivative(f: GrassmannElement, i: int) -> GrassmannElement:
     return GrassmannElement(_LEFT_SIGN[k] * f.coeffs[_DERIVATIVE_SOURCE[k]])
 
 
-def dirac_bracket(f, g):
+def dirac_bracket(f, g, *, parities=None):
     """Reduced Dirac bracket on the constraint surface.
 
     {f, g} = -i sum_m (right derivative of f) (left derivative of g); the
     generator pairs give -i delta_ij and the rest follows by the graded
-    derivation rules.  Both arguments must be parity-homogeneous.  Two
-    elements give an element; coefficient stacks (..., 8) give a stack.
+    derivation rules.  Both arguments must be parity-homogeneous; f is
+    checked first.  A caller that has already computed the two parities
+    passes them as parities and they are not computed again.  Two elements
+    give an element; coefficient stacks (..., 8) give a stack.
     """
     fc, gc = _coefficients(f), _coefficients(g)
-    _parity(fc)
-    _parity(gc)
+    if parities is None:
+        _parity(fc)
+        _parity(gc)
     out = -1j * ((fc[..., _BRACKET_F] * gc[..., _BRACKET_G]) @ _BRACKET_SUM)
     if isinstance(f, GrassmannElement) and isinstance(g, GrassmannElement):
         return GrassmannElement(out)
@@ -342,8 +345,10 @@ def verify_correspondence(f, g, tol: float = 1e-12) -> CorrespondenceReport:
     of flags and residuals.
     """
     fc, gc = _coefficients(f), _coefficients(g)
-    lhs, qf, qg = quantize(np.stack(np.broadcast_arrays(dirac_bracket(fc, gc), fc, gc)))
-    rhs = -1j * graded_commutator(qf, qg, _parity(fc), _parity(gc))
+    parities = _parity(fc), _parity(gc)  # once each, f first, as dirac_bracket checks them
+    bracket = dirac_bracket(fc, gc, parities=parities)
+    lhs, qf, qg = quantize(np.stack(np.broadcast_arrays(bracket, fc, gc)))
+    rhs = -1j * graded_commutator(qf, qg, *parities)
     residual = np.abs(lhs - rhs).max(axis=(-2, -1))
     # a NaN image makes the residual NaN, so the pair is not exact whatever the scale
     scale = np.maximum(1.0, np.maximum(*(np.abs(q).max(axis=(-2, -1)) for q in (lhs, rhs))))

@@ -146,32 +146,35 @@ def ph_condition_residual_spin_valve(p: RabiParameters) -> float:
     return float((f * f + delta_c * delta_c).imag)
 
 
-_OFF_SURFACE = {
-    ValidationError: "parameters do not satisfy the suppression condition",
-    ImaginaryFrequencyError: "detuning on the wrong side of resonance: eigenvalues are imaginary",
-}
-
-
 def suppression_surface_error(p: RabiParameters, tol: float = 1e-10) -> PseudospinError | None:
     """None when p is on the suppression surface, else the error saying why not: ValidationError
     for |residual| > tol * scale, ImaginaryFrequencyError for delta * omega > tol * scale."""
     d, omega = p.delta, p.omega
     residual = ph_condition_residual(p)
-    error = _surface_error(residual, d * omega, p.b**2, d**2, omega**2, (p.alpha * omega) ** 2, tol)
-    return None if error is None else error(_OFF_SURFACE[error])
-
-
-def _surface_error(residual, delta_omega, b_sq, delta_sq, omega_sq, alpha_omega_sq, tol):
-    """The surface test on precomputed terms: None on the surface, else the error class.
-
-    The only code with the tolerance scale and the sign test; a sweep calls it once per point.
-    """
-    scale = max(1.0, b_sq, delta_sq, omega_sq, alpha_omega_sq)
-    if abs(residual) > tol * scale:
-        return ValidationError
-    if delta_omega > tol * scale:
-        return ImaginaryFrequencyError
+    off, imaginary = _surface_test(
+        residual, d * omega, p.b**2, d**2, omega**2, (p.alpha * omega) ** 2, tol
+    )
+    if off:
+        return ValidationError("parameters do not satisfy the suppression condition")
+    if imaginary:
+        return ImaginaryFrequencyError(
+            "detuning on the wrong side of resonance: eigenvalues are imaginary"
+        )
     return None
+
+
+def _surface_test(residual, delta_omega, b_sq, delta_sq, omega_sq, alpha_omega_sq, tol):
+    """The surface test on precomputed terms, elementwise on floats or broadcast arrays:
+    (|residual| > tol * scale, delta_omega > tol * scale) with scale the largest of 1 and the
+    four squares.  Both false is on the surface.
+
+    The only code with the tolerance scale and the sign test; a sweep calls it once per block
+    of points.  fmax skips a NaN as max(1.0, ...) does; the small arrays come first, so a
+    sweep's block takes one full-size fmax.
+    """
+    scale = np.fmax(np.fmax(np.fmax(1.0, delta_sq), np.fmax(omega_sq, alpha_omega_sq)), b_sq)
+    bound = tol * scale
+    return abs(residual) > bound, delta_omega > bound
 
 
 def _is_critical(delta, omega, b_z, tol) -> bool:

@@ -423,6 +423,8 @@ def test_sweep_squares_are_python_pow_on_many_axis_values():
         [values, [0.7], [0.7], [0.5], [0.0]],  # delta = 0: rabi_freq_sq = b^2
         [[0.0], values, [0.7], [0.5], [0.0]],  # b = 0: rabi_freq_sq = delta^2
         [[0.0], [0.7], [0.7], values, [0.0]],  # delta = 0: cond_residual = -(alpha omega)^2
+        # b = 0 across 4000 drives: delta^2 and (alpha omega)^2 broadcast over the drive axis
+        [[0.0], [0.7], values, [0.5], [0.0]],
     ):
         for line in cli._sweep_lines(axes, 1e-10):
             r = json.loads(line)
@@ -640,6 +642,61 @@ def test_rabi_overflow_is_validation_error(tmp_path, kind, scenario):
     assert [p.name for p in out.iterdir()] == ["error.json"]
     text = (out / "error.json").read_text()
     assert "Infinity" not in text and "NaN" not in text
+
+
+_NOT_FINITE = "result is not finite: Out of range float values are not JSON compliant"
+_OVERFLOW = "arithmetic overflow: (34, 'Numerical result out of range')"
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        # the first point's rabi_freq_sq is inf; the second point's b**2 raises OverflowError
+        pytest.param({"b": [1.3e154, 1e200]}, _NOT_FINITE, id="inf-point-before-b-overflow"),
+        pytest.param({"b": [1e200, 1.3e154]}, _OVERFLOW, id="b-overflow-before-inf-point"),
+        # the same two orders where the overflowing square is alpha**2 on the first b row
+        pytest.param({"b": [1.3e154], "alpha": [0.5, 1e200]}, _NOT_FINITE,
+                     id="inf-point-before-alpha-overflow"),
+        pytest.param({"b": [1.3e154], "alpha": [1e200, 0.5]}, _OVERFLOW,
+                     id="alpha-overflow-before-inf-point"),
+        # and where it is omega**2 (and delta**2) of the second drive, or of the first
+        pytest.param({"b": [1.3e154], "omega": [0.0, 1e155]}, _NOT_FINITE,
+                     id="inf-point-before-omega-overflow"),
+        pytest.param({"b": [1.3e154], "omega": [1e155, 0.0]}, _OVERFLOW,
+                     id="omega-overflow-before-inf-point"),
+    ],
+)
+def test_sweep_error_is_the_first_bad_point_in_product_order(tmp_path, grid, message):
+    scenario = {"kind": "sweep", "grid": grid, "b_z": 1.3e154, "omega": 0.0, "alpha": 0.5}
+    scen = write_scenario(tmp_path, scenario)
+    out = tmp_path / "out"
+    assert run_cli("sweep", scen, out) == 2
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "ValidationError", "message": message
+    }
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 12, 40])
+def test_sweep_lines_do_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks of whole b rows, of (b, drive) rows and of alpha slices, with and without a torque
+    axes = [[0.3, 1.2247448713915889, -0.0], [1.0, 2.0], [2.0, 1.0], [0.5, 0.0, -0.5, 0.9],
+            [0.0, 0.05]]
+    expected = list(cli._sweep_lines(axes, 1e-10))
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    for torques in ([0.0, 0.05], [0.0]):
+        lines = list(cli._sweep_lines(axes[:4] + [torques], 1e-10))
+        assert lines == [line for line in expected if torques != [0.0] or '"a": 0.0,' in line]
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_sweep_overflow_stops_after_the_points_before_it(monkeypatch, block):
+    # alpha**2 of the third alpha overflows: its first point is the third, whatever the blocks
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    lines = cli._sweep_lines([[0.5, 1.0], [1.0], [2.0], [0.0, 0.5, 1e200], [0.0]], 1e-10)
+    assert [json.loads(next(lines))["alpha"] for _ in range(2)] == [0.0, 0.5]
+    with pytest.raises(OverflowError):
+        next(lines)
 
 
 @pytest.mark.parametrize(

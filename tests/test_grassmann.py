@@ -622,6 +622,21 @@ def test_suite_calls_the_kernels_through_the_module_globals(monkeypatch):
     assert calls == {"verify_correspondence": 1, "dirac_bracket": 1, "quantize": 1}
 
 
+def test_verify_correspondence_computes_each_parity_once(monkeypatch):
+    seen = []
+
+    def counted(c, kernel=grassmann._parity):
+        seen.append(c.shape)
+        return kernel(c)
+
+    monkeypatch.setattr(grassmann, "_parity", counted)
+    correspondence_suite([0.7, -1.1, 0.4])
+    assert seen == [(76, 8), (76, 8)]  # f, then g
+    seen.clear()
+    dirac_bracket(XI[0], XI[1])  # the public bracket still checks both arguments itself
+    assert seen == [(8,), (8,)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(f=GAUSSIAN, g=GAUSSIAN, i=st.integers(1, 3))
 def test_kernels_equal_loop_reference_on_gaussian_integers(f, g, i):
