@@ -17,7 +17,6 @@ text I/O layer.  Identical scenarios produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -448,130 +447,90 @@ def _squares(values, stride: int, raised: list) -> list:
     return squares
 
 
-def _blocks(n_b: int, n_d: int, n_alpha: int, size: int):
-    """Slices (of b, of drives, of alphas) of blocks of at most size points, in product order:
-    whole b rows, else whole (b, drive) rows, else runs of alphas."""
-    alpha_step = min(n_alpha, size)
-    d_step = min(n_d, max(1, size // n_alpha))
-    b_step = max(1, size // (n_d * n_alpha))
-    for i in range(0, n_b, b_step):
-        for n in range(0, n_d, d_step):
-            for j in range(0, n_alpha, alpha_step):
-                yield (slice(i, min(i + b_step, n_b)), slice(n, min(n + d_step, n_d)),
-                       slice(j, min(j + alpha_step, n_alpha)))
-
-
-# (on the surface, off it) regime fields: classify_regime puts alpha = 0, then a critical drive,
-# before the surface test
-_REGIMES = {
-    kind: (f', "regime": "{on}", ', f', "regime": "{off}", ')
-    for kind, on, off in (
-        ("hermitian", REGIME_HERMITIAN, REGIME_HERMITIAN),
-        ("critical", REGIME_CRITICAL, REGIME_CRITICAL),
-        ("surface", REGIME_PSEUDO_HERMITIAN, REGIME_NON_PSEUDO_HERMITIAN),
-    )
-}
+def _suppression(z, w, alpha) -> str:
+    """The text from suppression_b to the end of a line, for one (drive, alpha)."""
+    try:
+        return f'"suppression_b": {_number(solve_suppression_B(z, w, alpha))}}}\n'
+    except PseudospinError:
+        return '"suppression_b": null}\n'
+    except OverflowError:  # alpha**2, so the sweep stops before alpha's first point
+        return ""
 
 
 def _sweep_lines(axes, tol):
     """Per point of the axes (b, b_z, omega, alpha, a), in itertools.product order, the line
     json.dumps(record, sort_keys=True, allow_nan=True) writes.
 
-    What depends on fewer than all five axes is computed and formatted once per combination of
-    axis indices it depends on (an index, unlike a value, keeps 0.0 and -0.0 apart), squares by
-    Python's x**2 on the axes' own types.  What depends on b, the drive (b_z, omega) and alpha,
-    rabi_freq_sq, cond_residual and the surface verdict, is computed as float64 arrays over
-    blocks of at most _BLOCK lines, broadcast in the rabi module's operation order, so each is
-    the float the scalar code gives.  A spin-valve residual (a != 0) is computed per point.  A
-    square that raises OverflowError raises it after the lines of the points before the first
-    point whose record needs it, so the first bad point in product order decides between a
-    non-finite line and an overflow.
+    Each text that depends on fewer than all five axes is formatted once, into a table indexed
+    by the axes it depends on (an index, unlike a value, keeps 0.0 and -0.0 apart); squares are
+    Python's x**2 on the axes' own types.  Lines come in blocks of at most _BLOCK, and np.divmod
+    of a block's line numbers gives each line's (b, drive, alpha, a) indices.  rabi_freq_sq,
+    cond_residual and the surface verdict are float64 arrays over the block in the rabi
+    module's operation order, so each is the float the scalar code gives; rabi_freq_sq is
+    formatted once per (b, drive) row, as a block's rows are consecutive.  A line is the join
+    of its table entries (those that follow the verdict are looked up with it) and its two
+    numbers.  A spin-valve residual (a != 0) is computed per line.  A square that raises
+    OverflowError raises it after the lines of the points before the first point whose record
+    needs it, so the first bad point in product order decides between a non-finite line and an
+    overflow.
     """
     bs, zs, ws, alphas, torques = axes
-    b_texts, z_texts, w_texts, alpha_texts, a_texts = ([_number(v) for v in axis] for axis in axes)
     drives = [(z, w, z - w) for z in zs for w in ws]
-    n_b, n_d, n_alpha = len(bs), len(drives), len(alphas)
+    n_d, n_alpha, n_a = len(drives), len(alphas), len(torques)
     raised = []  # (point index, OverflowError) of each square that overflows
-    b_sq = np.array(_squares(bs, n_d * n_alpha, raised)).reshape(-1, 1, 1)
-    d_sq = np.array(_squares([d for _, _, d in drives], n_alpha, raised)).reshape(-1, 1)
-    w_sq = np.array(_squares([w for _, w, _ in drives], n_alpha, raised)).reshape(-1, 1)
-    dw = np.array([d * w for _, w, d in drives]).reshape(-1, 1)
+    b_sq = np.array(_squares(bs, n_d * n_alpha, raised))
+    d_sq = np.array(_squares([d for _, _, d in drives], n_alpha, raised))
+    w_sq = np.array(_squares([w for _, w, _ in drives], n_alpha, raised))
+    dw = np.array([d * w for _, w, d in drives])
     alpha_sq = np.array(_squares(alphas, 1, raised))
     aw_sq = np.array(_squares([a * w for _, w, _ in drives for a in alphas], 1, raised))
-    aw_sq = aw_sq.reshape(n_d, n_alpha)  # per (drive, alpha)
-    stop, error = min(raised, key=lambda r: r[0]) if raised else (n_b * n_d * n_alpha, None)
-    # per drive: the fields from b_z to cond_residual's value; the fields from delta to
-    # rabi_freq_sq's value on and off the surface; and the regimes of its nonzero alphas
-    drive_texts = []
-    for (z, w, d), (z_text, w_text) in zip(drives, itertools.product(z_texts, w_texts)):
+    stop, error = min(raised, key=lambda r: r[0]) if raised else (len(bs) * n_d * n_alpha, None)
+    a_texts, w_texts = [_number(a) for a in torques], [_number(w) for w in ws]
+    heads = [f'{{"a": {a}, "alpha": {x}, "b": ' for x in map(_number, alphas) for a in a_texts]
+    b_texts = [_number(b) for b in bs]
+    z_texts = [f', "b_z": {_number(z)}, "cond_residual": ' for z in zs for _ in ws]
+    mids = []  # per (drive, verdict): on the surface omega_sq is PseudoHermitianRabi.omega_sq
+    for (_, w, d), w_text in zip(drives, w_texts * len(zs)):
         fields = f', "delta": {_number(d)}, "omega": {w_text}, "omega_sq": %s, "rabi_freq_sq": '
-        drive_texts.append((
-            f'"b_z": {z_text}, "cond_residual": ',
-            (fields % _number(max(-d * w, 0.0)), fields % "null"),  # PseudoHermitianRabi.omega_sq
-            _REGIMES["critical" if _is_critical(d, w, z, tol) else "surface"],
+        mids += [fields % _number(max(-d * w, 0.0)), fields % "null"]
+    # per (regime kind, verdict): classify_regime puts alpha = 0, then a critical drive, before
+    # the surface test; kinds holds 0, 2 or 4 per (drive, alpha)
+    regimes = [f', "regime": "{r}", ' for r in (
+        REGIME_HERMITIAN, REGIME_HERMITIAN, REGIME_CRITICAL, REGIME_CRITICAL,
+        REGIME_PSEUDO_HERMITIAN, REGIME_NON_PSEUDO_HERMITIAN,
+    )]
+    kinds = np.array([
+        0 if alpha == 0.0 else 2 if critical else 4
+        for critical in (_is_critical(d, w, z, tol) for z, w, d in drives) for alpha in alphas
+    ], dtype=np.int8)
+    ends = [_suppression(z, w, alpha) for z, w, _ in drives for alpha in alphas]
+    heads, b_texts, z_texts, mids, regimes, ends = (
+        np.array(table, dtype=object) for table in (heads, b_texts, z_texts, mids, regimes, ends)
+    )
+    spin_valve = np.array([a != 0.0 for a in torques])
+    for start in range(0, stop * n_a, _BLOCK):
+        line = np.arange(start, min(start + _BLOCK, stop * n_a))
+        row, col = np.divmod(line, n_alpha * n_a)  # (b, drive) row and (alpha, a) column
+        (i, n), (j, m) = np.divmod(row, n_d), np.divmod(col, n_a)
+        q = n * n_alpha + j  # (drive, alpha)
+        rows = np.arange(row[0], row[-1] + 1)  # a block's rows are consecutive
+        row -= row[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rabi_freq_sq = b_sq[rows // n_d] + d_sq[rows % n_d]  # per row
+            b2, d2, aw, dw_n = b_sq[i], d_sq[n], aw_sq[q], dw[n]
+            residual = (rabi_freq_sq[row] - aw) + dw_n * (1.0 - alpha_sq[j])
+            off = np.logical_or(*_surface_test(residual, dw_n, b2, d2, w_sq[n], aw, tol))
+        tails = ends[q]
+        for k in np.flatnonzero(spin_valve[m]).tolist():
+            p = RabiParameters(bs[i[k]], *drives[n[k]][:2], alphas[j[k]], torques[m[k]])
+            text = _number(ph_condition_residual_spin_valve(p))
+            tails[k] = f'"spin_valve_residual": {text}, {tails[k]}'
+        rabi_texts = np.array(_numbers(rabi_freq_sq), dtype=object)
+        yield from map("".join, zip(
+            heads[col].tolist(), b_texts[i].tolist(), z_texts[n].tolist(), _numbers(residual),
+            mids[2 * n + off].tolist(), rabi_texts[row].tolist(), regimes[kinds[q] + off].tolist(),
+            tails.tolist(),
         ))
-    suppression = [None] * (n_d * n_alpha)  # suppression_b texts per (drive, alpha), on first use
-
-    def columns(n, depths):
-        """Per (alpha, a) of drive n, for the alphas of depths: (the line up to b's value, the
-        text after rabi_freq_sq's value on and off the surface, a, alpha, the text after the
-        spin-valve residual's value).  With a = 0 the second item ends the line; otherwise it
-        ends where the spin-valve residual's value goes."""
-        z, w, _ = drives[n]
-        out = []
-        for j in range(depths.start, depths.stop):
-            alpha, q = alphas[j], n * n_alpha + j
-            if suppression[q] is None:
-                try:
-                    suppression[q] = _number(solve_suppression_B(z, w, alpha))
-                except PseudospinError:
-                    suppression[q] = "null"
-                except OverflowError:  # alpha**2, so the sweep stops before alpha's first point
-                    suppression[q] = ""
-            on, off = _REGIMES["hermitian"] if alpha == 0.0 else drive_texts[n][2]
-            last = f'"suppression_b": {suppression[q]}}}\n'
-            for a, a_text in zip(torques, a_texts):
-                start = f'{{"a": {a_text}, "alpha": {alpha_texts[j]}, "b": '
-                if a == 0.0:
-                    out.append((start, (on + last, off + last), a, alpha, ""))
-                else:
-                    sv = '"spin_valve_residual": '
-                    out.append((start, (on + sv, off + sv), a, alpha, f", {last}"))
-        return out
-
-    def lines():
-        box = table = None
-        for rows, cols, depths in _blocks(n_b, n_d, n_alpha, max(1, _BLOCK // len(torques))):
-            with np.errstate(over="ignore", invalid="ignore"):
-                if box != (cols, depths):  # a single box when every (drive, alpha) fits a block
-                    box = (cols, depths)
-                    table = [columns(n, depths) for n in range(cols.start, cols.stop)]
-                b_blk, d_blk, aw_blk = b_sq[rows], d_sq[cols], aw_sq[cols, depths]
-                rabi_freq_sq = b_blk + d_blk  # per (b, drive)
-                residual = (rabi_freq_sq - aw_blk) + dw[cols] * (1.0 - alpha_sq[depths])
-                off_surface = np.logical_or(*_surface_test(
-                    residual, dw[cols], b_blk, d_blk, w_sq[cols], aw_blk, tol
-                ))
-            offs, residuals = off_surface.ravel().tolist(), _numbers(residual)
-            if len(torques) > 1:  # an entry per line
-                offs, residuals = ([x for x in seq for _ in torques] for seq in (offs, residuals))
-            rabi_texts = iter(_numbers(rabi_freq_sq))
-            k = 0
-            for i in range(rows.start, rows.stop):
-                for n, row in zip(range(cols.start, cols.stop), table):
-                    head, middle, _ = drive_texts[n]
-                    head, rabi_text, end = f'{b_texts[i]}, {head}', next(rabi_texts), k + len(row)
-                    verdicts, texts = offs[k:end], residuals[k:end]
-                    for (start, tails, a, alpha, rest), v, r in zip(row, verdicts, texts):
-                        line = f'{start}{head}{r}{middle[v]}{rabi_text}{tails[v]}'
-                        if a == 0.0:
-                            yield line
-                        else:
-                            p = RabiParameters(bs[i], *drives[n][:2], alpha, a)
-                            yield f'{line}{_number(ph_condition_residual_spin_valve(p))}{rest}'
-                    k = end
-
-    yield from itertools.islice(lines(), stop * len(torques))
     if error is not None:
         raise error
 
@@ -587,19 +546,17 @@ def _run_rabi(scenario, tol, step):
     # a one-point grid: the record is that point's sweep line, read back
     payload = json.loads(next(_sweep_lines([[p.b], [p.b_z], [p.omega], [p.alpha], [p.a]], tol)))
     files = {"rabi.json": payload}
-    amplitude = None
     if p.alpha == 0.0:
-        amplitude = lambda t: rabi_amplitude(p, t)
-        payload["amplitude_form"] = "undamped"
-    elif payload["omega_sq"] is not None:
-        pr = PseudoHermitianRabi(p, tolerance=tol)
-        amplitude = lambda t: ph_rabi_amplitude(pr, t)
-        payload["amplitude_form"] = "suppressed_damping"
-    else:
-        payload["amplitude_form"] = None
-    if amplitude is not None and "time" in scenario:
+        form = "undamped"
+    else:  # omega_sq is null off the suppression surface
+        form = None if payload["omega_sq"] is None else "suppressed_damping"
+    payload["amplitude_form"] = form
+    if form is not None and "time" in scenario:
         grid = _parse_time_grid(scenario["time"], step)
-        z = amplitude(grid)
+        if form == "undamped":
+            z = rabi_amplitude(p, grid)
+        else:  # the line's omega_sq says p is on the surface, so PseudoHermitianRabi accepts it
+            z = ph_rabi_amplitude(PseudoHermitianRabi(p, tolerance=tol), grid)
         files["amplitude.csv"] = ("t,amp_re,amp_im", [grid, z.real, z.imag])
         payload["amplitude_samples"] = len(grid)
     return files

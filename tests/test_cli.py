@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pseudospin
-from pseudospin import cli
+from pseudospin import _g17, cli
 from pseudospin.cli import KINDS, emit_trajectory, main, read_trajectory
 from pseudospin.dynamics import Trajectory, bloch_model, evolve_trajectory, integrate
 from pseudospin.exceptions import NonPseudoHermitianError, PseudospinError, ValidationError
@@ -283,6 +283,27 @@ def test_rabi_point_within_tolerance_of_imaginary_side(tmp_path):
             for line in (out / "amplitude.csv").read_text().splitlines()[1:]]
     assert len(rows) == report["amplitude_samples"] == 6
     assert all(re == 0.0 and im == 0.0 for _, re, im in rows)
+
+
+@pytest.mark.parametrize("time, calls", [(None, 0), ({"stop": 1.0, "num": 3}, 1)])
+def test_rabi_tests_the_surface_again_only_for_an_amplitude(monkeypatch, time, calls):
+    # the record's own line decides the surface; only an amplitude trace builds the
+    # PseudoHermitianRabi whose construction runs the scalar test
+    counted = []
+
+    def counting(*args, **kwargs):
+        counted.append(args)
+        return suppression_surface_error(*args, **kwargs)
+
+    monkeypatch.setattr("pseudospin.rabi.suppression_surface_error", counting)
+    scenario = {"kind": "rabi", "b": float(np.sqrt(1.5)), "b_z": 1.0, "omega": 2.0, "alpha": 0.5}
+    if time is not None:
+        scenario["time"] = time
+    out = _run_in_tmp("rabi", scenario)
+    assert out["code"] == 0
+    assert json.loads(out["rabi.json"])["amplitude_form"] == "suppressed_damping"
+    assert ("amplitude.csv" in out) == (time is not None)
+    assert len(counted) == calls
 
 
 def test_suppress_reference_point(tmp_path):
@@ -679,7 +700,8 @@ def test_sweep_error_is_the_first_bad_point_in_product_order(tmp_path, grid, mes
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5, 7, 12, 40])
 def test_sweep_lines_do_not_depend_on_the_block_size(monkeypatch, block):
-    # blocks of whole b rows, of (b, drive) rows and of alpha slices, with and without a torque
+    # blocks that start and end inside (b, drive) rows and between the torques of one point,
+    # and blocks of several rows, with and without a torque axis
     axes = [[0.3, 1.2247448713915889, -0.0], [1.0, 2.0], [2.0, 1.0], [0.5, 0.0, -0.5, 0.9],
             [0.0, 0.05]]
     expected = list(cli._sweep_lines(axes, 1e-10))
@@ -919,7 +941,10 @@ def test_csv_encode_matches_per_cell_formatting(table):
 
 
 def test_csv_encode_matches_per_cell_formatting_across_blocks():
-    rows = 2 * cli._BLOCK + 3
+    # two blocks of whole rows, then a block of fewer than SMALL cells
+    step = _g17.CHUNK // 3
+    rows = 2 * step + 3
+    assert 3 * (rows - 2 * step) < _g17.SMALL
     table = RNG.standard_normal((rows, 3)) * 10.0 ** RNG.integers(-300, 300, (rows, 3))
     table[::7, 1] = -0.0
     assert bytes(cli._encode("t.csv", ("h", list(table.T)))) == _csv_reference(table)
@@ -1138,6 +1163,21 @@ def test_trajectory_write_stage_memory_is_bounded_by_the_csv_size(tmp_path):
     assert peak < 2.25 * size, (peak, size)
     t, states, _ = read_trajectory(path)
     assert np.array_equal(t, traj.times) and np.array_equal(states, traj.states)
+
+
+def test_sweep_memory_is_bounded_by_the_file_size():
+    """A 10^5-point sweep along b, computed and encoded: the file's growing buffer (up to 1.125x
+    the file), the b axis's texts and block-sized temporaries, about 1.58x the file; a second
+    copy of the b texts would take it past 1.6x."""
+    axes = [list(np.linspace(0.5, 1.5, 10**5)), [1.0], [2.0], [0.5], [0.0]]
+    tracemalloc.start()
+    try:
+        data = cli._encode("sweep.jsonl", cli._sweep_lines(axes, 1e-10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) > 2 * 10**7
+    assert peak < 1.6 * len(data), (peak, len(data))
 
 
 def test_step_override_flag(tmp_path):
