@@ -14,22 +14,29 @@ at k + 1.
 
 Fallback.  Cells with a fractional part in that band, any still out of range after the
 correction, and all outside the fast range but zeros are written by '%.17g' itself and spliced
-in.  A zero is D = 0 at k = 0 with its sign bit, so -0.0 is "-0".
+in, each with its end text.  A zero is D = 0 at k = 0 with its sign bit, so -0.0 is "-0".
 
 Text, as %g writes it: fixed notation for -4 <= k < 17, else d.ddde+XX; trailing zeros dropped,
 and no point when no digit follows it.  Each cell is six little-endian words, 48 bytes: the
 sign, "0.000" lead of -4 <= k < 0 and first digit; four words of 16-bit (point, digit) lanes for
 digits 2 to 17, from a table of 4-digit groups, masked to the digits up to the last nonzero one;
-the exponent and separator.  Integer digits of fixed notation are restored (OR '0'), the point
-byte before digit k + 2 (the second for scientific notation) is set where that digit is written,
-and the NUL bytes are deleted once per block.
+the exponent (bytes 0-3) and the column's end text (bytes 4-7).  Integer digits of fixed
+notation are restored (OR '0'), the point byte before digit k + 2 (the second for scientific
+notation) is set where that digit is written, and the NUL bytes are deleted once per block.
+
+Known text.  A cell's end text is its separator, followed by the text of any columns whose text
+is known before formatting: in a table of at least SMALL cells, a column after the first whose
+cells all share one bit pattern (so +0.0 and -0.0 differ) goes into the end text of the
+formatted column before it while that end text fits its 4 bytes.  The +0.0 imaginary parts of
+a real Bloch vector are such columns (",0,").  The cells left to format are split into
+max(1, round(cells / CHUNK)) blocks of whole rows, of equal size to within a row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-CHUNK = 2048  # cells per pass, rounded down to whole rows; the pass's arrays stay under 400 KB
+CHUNK = 2048  # cells per block, about; a block's arrays stay under 600 KB (1.5 CHUNK cells)
 SMALL = 800  # blocks of fewer cells take one %-format call: the kernel costs more there
 
 _FAST_MIN, _FAST_MAX = 1e-30, 1e30  # two-digit exponents, and nothing over- or underflows
@@ -165,34 +172,55 @@ def _slots(v: np.ndarray, d: np.ndarray, row: np.ndarray, seps: np.ndarray) -> b
     return slot.tobytes()
 
 
-def _cells(block: np.ndarray) -> bytes:
-    """'%.17g' % x of each cell x of a 2-D block, joined by ',' and ended by LF per row."""
+def _cells(block: np.ndarray, ends: list) -> bytes:
+    """'%.17g' % x of each cell x of a 2-D block, each followed by the end text of its column
+    (at most 4 bytes: its separator and any text known before formatting)."""
     v = block.ravel()
-    seps = np.full(block.shape, ord(","), np.uint64)  # the separator byte, at byte 4 of word 5
-    seps[:, -1] = ord("\n")
-    seps = seps.ravel() << np.uint64(32)
+    words = np.array([int.from_bytes(end, "little") for end in ends], np.uint64) << np.uint64(32)
     d, row, slow = _digits(v)
-    text = _slots(v, d, row, seps)
+    text = _slots(v, d, row, np.tile(words, len(block)))  # the end text at bytes 4-7 of word 5
     if slow.any():
         pieces, start = [], 0
         for i in np.flatnonzero(slow).tolist():
-            pieces += [text[start * _SLOT : i * _SLOT], b"%.17g%c" % (v[i], int(seps[i]) >> 32)]
+            pieces += [text[start * _SLOT : i * _SLOT], b"%.17g%s" % (v[i], ends[i % len(ends)])]
             start = i + 1
         pieces.append(text[start * _SLOT :])
         text = b"".join(pieces)
     return text.translate(None, b"\0")
 
 
+def _known(columns: list, ends: list) -> tuple:
+    """The columns left to format, one cell wide, and their end texts: a column after the first
+    whose cells share one bit pattern (so +0.0 and -0.0 differ) is written into the end text of
+    the formatted column before it, where that end text then fits in 4 bytes."""
+    kept, kept_ends = [], []
+    for column, end in zip((c[:, j : j + 1] for c in columns for j in range(c.shape[1])), ends):
+        if kept:
+            merged = kept_ends[-1] + b"%.17g" % column[0, 0] + end
+            if len(merged) <= 4 and (column.view(np.uint64) == column.view(np.uint64)[0]).all():
+                kept_ends[-1] = merged
+                continue
+        kept.append(column)
+        kept_ends.append(end)
+    return kept, kept_ends
+
+
 def csv_text(header: str, columns) -> memoryview:
     """The header line, then one line per row of finite float64 columns (1-D, or 2-D for
     several): each row's cells as '%.17g' % x writes them, joined by ',' and ended by LF.
 
-    Blocks of whole rows, about CHUNK cells each, are gathered from the columns into one small
-    block array and formatted into one buffer sized for the longest cells; its pages that no
-    text reaches are never touched, and the text is a view of it.  (A str per block of a
-    10^6-row table left the heap fragmented by 37 MB, and a growing bytearray by 15 MB.)  A
-    block of fewer than SMALL cells is one %-format call, which costs less there than the
-    kernel's fixed cost.
+    In a table of at least SMALL cells, a column after the first whose cells all share one bit
+    pattern is not formatted: its text goes into the end text of the formatted cell before it,
+    where that end text, separators included, fits the 4 bytes a slot has after the exponent
+    (",0," and ",-0\n" fit, ",0,0," does not; a column that does not fit is formatted).  The
+    rows are split into max(1, round(cells / CHUNK)) blocks of equal size, counting only the
+    cells left to format, so a block holds from about 3/4 to 3/2 CHUNK cells unless the table
+    has fewer: each block costs a fixed time, and a short last block pays it for few cells.
+    Each block is gathered from the columns into one small block array and formatted into one
+    buffer sized for the longest cells; its pages that no text reaches are never touched, and
+    the text is a view of it.  (A str per block of a 10^6-row table left the heap fragmented by
+    37 MB, and a growing bytearray by 15 MB.)  A block of fewer than SMALL cells is one
+    %-format call, which costs less there than the kernel's fixed cost.
     """
     columns = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
     width = sum(c.shape[1] for c in columns)
@@ -201,16 +229,20 @@ def csv_text(header: str, columns) -> memoryview:
     text = np.empty(len(head) + _LONGEST * rows * width, np.uint8)
     size = len(head)
     text[:size] = np.frombuffer(head, np.uint8)
-    step = max(1, CHUNK // width)
-    line = b",".join([b"%.17g"] * width) + b"\n"
-    gathered = np.empty((min(step, rows), width))
-    for start in range(0, rows, step):
-        block = gathered[: min(step, rows - start)]
-        np.concatenate([c[start : start + step] for c in columns], axis=1, out=block)
+    ends = [b","] * (width - 1) + [b"\n"]
+    if rows * width >= SMALL:
+        columns, ends = _known(columns, ends)
+    line = b"%.17g" + b"%.17g".join(ends)
+    blocks = max(1, min(rows, round(rows * len(ends) / CHUNK)))
+    gathered = np.empty((-(-rows // blocks), len(ends)))
+    for i in range(blocks):
+        start, stop = rows * i // blocks, rows * (i + 1) // blocks
+        block = gathered[: stop - start]
+        np.concatenate([c[start:stop] for c in columns], axis=1, out=block)
         if block.size < SMALL:
             piece = (line * len(block)) % tuple(block.ravel().tolist())
         else:
-            piece = _cells(block)
+            piece = _cells(block, ends)
         text[size : size + len(piece)] = np.frombuffer(piece, np.uint8)
         size += len(piece)
     return text[:size].data

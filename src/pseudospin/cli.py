@@ -48,6 +48,7 @@ from .rabi import (
     PseudoHermitianRabi,
     RabiParameters,
     _is_critical,
+    _spin_valve_residual,
     _surface_test,
     ph_condition_residual,
     ph_condition_residual_spin_valve,
@@ -522,8 +523,8 @@ def _sweep_lines(axes, tol):
             off = np.logical_or(*_surface_test(residual, dw_n, b2, d2, w_sq[n], aw, tol))
         tails = ends[q]
         for k in np.flatnonzero(spin_valve[m]).tolist():
-            p = RabiParameters(bs[i[k]], *drives[n[k]][:2], alphas[j[k]], torques[m[k]])
-            text = _number(ph_condition_residual_spin_valve(p))
+            z, w, _ = drives[n[k]]
+            text = _number(_spin_valve_residual(bs[i[k]], z, w, alphas[j[k]], torques[m[k]]))
             tails[k] = f'"spin_valve_residual": {text}, {tails[k]}'
         rabi_texts = np.array(_numbers(rabi_freq_sq), dtype=object)
         yield from map("".join, zip(

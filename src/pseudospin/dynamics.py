@@ -70,8 +70,11 @@ def bloch_eta(psi, eta, observables: str = "bare", isometry=None) -> np.ndarray:
     as such.  observables="dressed" averages M sigma_i M^(-1) (requires the
     isometry), which are eta-Hermitian and give a real unit vector.
     """
-    v = as_state(psi)
-    m = validate_metric(eta)
+    return _bloch_eta(as_state(psi), validate_metric(eta), observables, isometry)
+
+
+def _bloch_eta(v: np.ndarray, m: np.ndarray, observables: str, isometry) -> np.ndarray:
+    """bloch_eta of a state stack v under the metric m that validate_metric returned."""
     nrm2 = _norm_sq(v, m)[..., None]
     if observables == "bare":
         n = [np.vecdot(v, np.matvec(m, np.matvec(s, v))) for s in SIGMA]
@@ -359,7 +362,7 @@ def evolve_trajectory(
         bloch = bloch_canonical(states)
     else:
         norm_eta = np.sqrt(np.vecdot(states, np.matvec(eta, states)).real)
-        bloch = bloch_eta(states, eta, observables, isometry)
+        bloch = _bloch_eta(states, m, observables, isometry)
     return Trajectory(
         times=t,
         states=bloch.astype(complex),

@@ -140,9 +140,14 @@ def ph_condition_residual_spin_valve(p: RabiParameters) -> float:
     Imaginary part of the square-sum of the shifted rotating-frame field;
     zero iff the torque-compensated dynamics is pseudo-Hermitian.
     """
-    u = p.damping_factor()
-    f = u * p.b
-    delta_c = u * (p.b_z + 1j * p.a) - p.omega
+    return _spin_valve_residual(p.b, p.b_z, p.omega, p.alpha, p.a)
+
+
+def _spin_valve_residual(b, b_z, omega, alpha, a) -> float:
+    """ph_condition_residual_spin_valve of checked floats, without building RabiParameters."""
+    u = (1.0 + 1j * alpha) / (1.0 + alpha**2)  # RabiParameters.damping_factor
+    f = u * b
+    delta_c = u * (b_z + 1j * a) - omega
     return float((f * f + delta_c * delta_c).imag)
 
 

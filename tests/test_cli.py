@@ -941,13 +941,26 @@ def test_csv_encode_matches_per_cell_formatting(table):
 
 
 def test_csv_encode_matches_per_cell_formatting_across_blocks():
-    # two blocks of whole rows, then a block of fewer than SMALL cells
+    # two even blocks of whole rows (blocks of CHUNK // 3 rows would leave a last block of
+    # fewer than SMALL cells)
     step = _g17.CHUNK // 3
     rows = 2 * step + 3
     assert 3 * (rows - 2 * step) < _g17.SMALL
     table = RNG.standard_normal((rows, 3)) * 10.0 ** RNG.integers(-300, 300, (rows, 3))
     table[::7, 1] = -0.0
     assert bytes(cli._encode("t.csv", ("h", list(table.T)))) == _csv_reference(table)
+
+
+def test_rabi_amplitude_with_signed_zeros_is_written_cell_by_cell(tmp_path):
+    # b < 0 at alpha = 0: the real part of -i (b / Omega) sin is +0.0 or -0.0 by the sign of sin
+    scen = write_scenario(tmp_path, {"kind": "rabi", "b": -0.7, "b_z": 1.0, "omega": 2.0,
+                                     "time": {"start": 0.0, "stop": 40.0, "num": 1001}})
+    out = tmp_path / "out"
+    assert run_cli("rabi", scen, out) == 0
+    lines = (out / "amplitude.csv").read_text().splitlines()
+    cells = [cell for line in lines[1:] for cell in line.split(",")]
+    assert len(cells) == 3 * 1001 and all(cell == "%.17g" % float(cell) for cell in cells)
+    assert {line.split(",")[1] for line in lines[1:]} == {"0", "-0"}
 
 
 def test_jsonl_encode_joins_every_line_across_blocks():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pseudospin._g17 import CHUNK, SMALL, _cells, csv_text
+from pseudospin._g17 import CHUNK, SMALL, _cells, _known, csv_text
 
 RNG = np.random.default_rng(20261019)
 
@@ -36,7 +36,7 @@ def reference(values) -> str:
 def kernel(values) -> str:
     """The kernel's text of one column of cells, however few (csv_text formats a block of fewer
     than SMALL cells with '%' instead)."""
-    return _cells(np.asarray(values, dtype=float).reshape(-1, 1)).decode("ascii")
+    return _cells(np.asarray(values, dtype=float).reshape(-1, 1), [b"\n"]).decode("ascii")
 
 
 def assert_cells_match(values):
@@ -129,8 +129,10 @@ def test_tables_that_straddle_a_block(columns):
     for rows in (step - 1, step, step + 1, 2 * step + 1):
         shape = (rows, columns)
         table = RNG.standard_normal(shape) * 10.0 ** RNG.integers(-40, 40, shape)
-        table.flat[step * columns - 1 :: step * columns] = 1e-300  # the last cell of each block
-        table.flat[:: step * columns] = -0.0  # and the first
+        blocks = max(1, min(rows, round(rows * columns / CHUNK)))  # of equal size, to a row
+        starts = [rows * i // blocks for i in range(blocks)]
+        table[[start - 1 for start in starts[1:]] + [-1], -1] = 1e-300  # the last cell of each
+        table[starts, 0] = -0.0  # and the first
         assert encode(table) == reference(table)
 
 
@@ -152,3 +154,61 @@ def test_seeded_random_values():
     values = np.concatenate([normal, bits[np.isfinite(bits)]])
     values = RNG.permutation(values)[: len(values) // 9 * 9].reshape(-1, 9)
     assert encode(values) == reference(values)
+
+
+# column kinds of tables with columns of known text: "x" is formatted cell by cell, "+0" and
+# "-0" are signed zeros, "0/-0" mixes them, "0.5" and "7" are constants of longer and shorter
+# text, and "last" is a constant but for its last row
+COLUMN_KINDS = {
+    "x": lambda rows: RNG.standard_normal(rows) * 10.0 ** RNG.integers(-40, 40, rows),
+    "+0": lambda rows: np.zeros(rows),
+    "-0": lambda rows: np.full(rows, -0.0),
+    "0/-0": lambda rows: RNG.choice([0.0, -0.0], rows),
+    "0.5": lambda rows: np.full(rows, 0.5),
+    "7": lambda rows: np.full(rows, 7.0),
+    "last": lambda rows: np.concatenate([np.zeros(rows - 1), [1.5]]),
+}
+LAYOUTS = [
+    ["x", "+0", "x", "+0", "x", "+0", "x", "x", "x"],  # a trajectory of real Bloch vectors
+    ["x", "-0", "x", "0/-0"],
+    ["x", "+0", "+0", "x", "-0"],  # two adjacent zero columns: ",0,0," does not fit
+    ["+0", "x", "7"],  # a constant first column, and a constant last one
+    ["7", "+0", "x", "0.5", "x", "0.5"],  # 0.5 does not fit: ",0.5," and ",0.5\n"
+    ["x", "last", "x", "last"],
+]
+
+
+def known_table(layout, rows) -> np.ndarray:
+    return np.stack([COLUMN_KINDS[kind](rows) for kind in layout], axis=1)
+
+
+def test_known_columns_join_the_end_text_before_them_where_it_fits():
+    table = known_table(["x", "+0", "+0", "x", "-0"], 200)
+    kept, ends = _known([table], [b","] * 4 + [b"\n"])
+    assert [c.shape for c in kept] == [(200, 1)] * 3
+    assert np.array_equal(np.concatenate(kept, axis=1), table[:, [0, 2, 3]])
+    assert ends == [b",0,", b",", b",-0\n"]
+
+
+def row_counts(width: int, formatted: int) -> list:
+    """Row counts either side of SMALL cells, and either side of where the number of blocks,
+    round(formatted cells / CHUNK), changes."""
+    small = -(-SMALL // width)
+    counts = [small - 1, small, small + 1]
+    for blocks in (1.5, 2.5):
+        edge = round(blocks * CHUNK / formatted)
+        counts += [edge - 1, edge, edge + 1]
+    return counts
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids="|".join)
+def test_tables_with_known_columns_match_one_format_call(layout):
+    table = known_table(layout, 2)
+    _, ends = _known([table], [b","] * (len(layout) - 1) + [b"\n"])
+    for rows in row_counts(len(layout), len(ends)):
+        table = known_table(layout, rows)
+        assert encode(table) == reference(table), rows
+        # as 1-D columns and as a 2-D column followed by a 1-D one
+        want = "h\n" + reference(table)
+        assert bytes(csv_text("h", list(table.T))).decode("ascii") == want, rows
+        assert bytes(csv_text("h", [table[:, :-1], table[:, -1]])).decode("ascii") == want, rows
