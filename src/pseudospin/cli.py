@@ -22,7 +22,9 @@ import math
 import os
 import sys
 import warnings
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -145,8 +147,8 @@ def _report(value, newline: str = "\n") -> str:
     and None children in its own loop.  Any other type takes json's isinstance checks in json's
     order (an np.float64 is a float, an np.bool_ is not a bool), and what json would hand its
     default= hook is converted as that hook did: an ndarray by tolist(), an np.generic by
-    item(), a complex as [re, im].  newline is the line break and indent that precede a closing
-    bracket of value.
+    item(), a complex as [re, im].  A list of records is written column by column (_records).
+    newline is the line break and indent that precede a closing bracket of value.
     """
     if type(value) is np.ndarray:
         value = value.tolist()
@@ -181,6 +183,10 @@ def _report(value, newline: str = "\n") -> str:
     brackets = "{}" if kind is dict else "[]"
     if not value:
         return brackets
+    if kind is list and type(value[0]) is dict:
+        text = _records(value, newline)
+        if text is not None:
+            return text
     inner = newline + "  "
     texts = []
     for v in sorted(value.items()) if kind is dict else value:
@@ -203,6 +209,49 @@ def _report(value, newline: str = "\n") -> str:
             text = _report(v, inner)
         texts.append(f"{key}: {text}" if kind is dict else text)
     return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{newline}{brackets[1]}"
+
+
+# the text of each value of a record column, by the column's exact type
+_RECORD_TEXTS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: encode_basestring_ascii,
+}
+
+
+def _records(records, newline: str):
+    """_report of a list of records, written column by column, or None to take the recursion.
+
+    Records are dicts with one set of keys, whose column for each key holds a single exact type
+    of _RECORD_TEXTS.  Each column's texts come from one map, and one % template covers all the
+    records.  Anything else is None: an empty dict, keys that differ, a nested value, None, a
+    subclass or NumPy scalar, a float column whose sum is not finite (json's refusal of NaN and
+    Infinity is the recursion's), and whatever would raise, so that the recursion raises it.
+    """
+    if set(map(type, records)) != {dict} or not records[0]:
+        return None
+    if set(map(len, records)) != {len(records[0])}:
+        return None
+    try:
+        keys = sorted(records[0])
+        texts = []
+        for key in keys:
+            column = list(map(itemgetter(key), records))  # KeyError: the keys differ
+            kind, *others = set(map(type, column))
+            if others or kind not in _RECORD_TEXTS:
+                return None
+            if kind is float and not math.isfinite(sum(column)):
+                return None
+            texts.append(map(_RECORD_TEXTS[kind], column))
+        inner = newline + "  "
+        fields = f",{inner}  ".join(
+            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
+        )
+        template = f",{inner}".join([f"{{{inner}  {fields}{inner}}}"] * len(records))
+        return f"[{inner}{template % tuple(chain.from_iterable(zip(*texts)))}{newline}]"
+    except (KeyError, TypeError, ValueError):  # TypeError: a key that is not a str
+        return None
 
 
 # JSON lines per join, and sweep lines per block of arrays: holding a str per sweep line until

@@ -1069,20 +1069,81 @@ REPORT_VALUES = st.recursive(
     | st.dictionaries(REPORT_KEYS, children, max_size=3).map(_Dict),
     max_leaves=10,
 )
+RECORD_KEYS = REPORT_KEYS | st.sampled_from(["%", "%s", "a%%b", _Str("%(k)s"), _Str("b")])
+# a column draws every value from one of these; the last mixes types, so it takes the recursion
+RECORD_COLUMNS = (
+    st.booleans(),
+    st.integers() | st.sampled_from([10**40, -(2**200)]),
+    REPORT_FLOATS,
+    st.text() | st.sampled_from(["", '\x00"\\%s\u2028', "\u00e9 \U0001d11e"]),
+    REPORT_LEAVES,
+)
+RECORD_MISSES = ("missing key", "extra key", "nested list", "np.float64", "_Float", "empty dict")
 
 
-@settings(max_examples=100, deadline=None)
-@given(REPORT_VALUES)
+@st.composite
+def record_lists(draw):
+    """1-6 dicts with one set of keys, each column drawn from one entry of RECORD_COLUMNS; half
+    of them changed by one of RECORD_MISSES, after which they take the recursion."""
+    keys = draw(st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True))
+    columns = [draw(st.sampled_from(RECORD_COLUMNS)) for _ in keys]
+    count = draw(st.integers(1, 6))
+    records = [{key: draw(column) for key, column in zip(keys, columns)} for _ in range(count)]
+    k, key = draw(st.integers(0, count - 1)), draw(st.sampled_from(keys))
+    miss = draw(st.none() | st.sampled_from(RECORD_MISSES))
+    if miss == "missing key":
+        del records[k][key]
+    elif miss == "extra key":
+        records[k][draw(RECORD_KEYS.filter(lambda extra: extra not in keys))] = draw(REPORT_LEAVES)
+    elif miss == "nested list":
+        records[k][key] = [records[k][key]]
+    elif miss == "np.float64":
+        records[k][key] = np.float64(draw(REPORT_FLOATS))
+    elif miss == "_Float":
+        records[k][key] = _Float(draw(REPORT_FLOATS))
+    elif miss == "empty dict":
+        records.insert(k, {})
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(REPORT_VALUES | record_lists() | st.dictionaries(REPORT_KEYS, record_lists(), min_size=1))
 def test_report_encoder_matches_json_dumps(value):
     assert cli._report(value) == _json_report(value)
+
+
+def test_record_lists_are_written_column_by_column_only_when_they_are_tables():
+    table = [{"a": a, "b": 7 - a, "exact": a != 7, "residual": a / 3, "%s": "x%d"} for a in range(8)]
+    assert cli._records(table, "\n  ") is not None
+    assert cli._report({"pairs": table}) == _json_report({"pairs": table})
+    misses = [
+        [{"a": 1}, {"b": 1}],  # keys differ
+        [{"a": 1}, {"a": 1, "b": 2}],  # an extra key
+        [{"a": 1}, {}],  # an empty dict
+        [{}, {}],
+        [{"a": 1}, {"a": [1]}],  # a nested value
+        [{"a": 1.0}, {"a": np.float64(2.0)}],  # a NumPy scalar
+        [{"a": 1.0}, {"a": _Float(2.0)}],  # a subclass
+        [{"a": 1}, {"a": True}],  # an int and a bool
+        [{"a": None}],  # None
+        [{"a": 1}, _Dict(a=1)],  # a dict subclass
+        [{"a": 1e308}, {"a": 1e308}],  # finite floats whose sum is not
+        [{"a": 1.0}, {"a": np.nan}],  # refused, as json refuses it
+        [{1: 1}],  # a key that is not a str, which json would write as "1"
+    ]
+    for records in misses:
+        assert cli._records(records, "\n") is None
+    for records in misses[:-2]:
+        assert cli._report(records) == _json_report(records)
 
 
 @pytest.mark.parametrize(
     "bad",
     [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf), complex(1.0, np.inf),
-     np.array([[0.5, np.nan]]), _Float(np.inf), ({"k": [complex(np.inf, 0.5)]},), object()],
+     np.array([[0.5, np.nan]]), _Float(np.inf), ({"k": [complex(np.inf, 0.5)]},), object(),
+     [{"x": 0.5, "y": 1}, {"x": -np.inf, "y": 2}]],
     ids=["nan", "inf", "-inf", "np-nan", "np-inf", "complex-inf", "array-nan", "float-subclass-inf",
-         "complex-inf-in-list-in-dict-in-tuple", "object"],
+         "complex-inf-in-list-in-dict-in-tuple", "object", "inf-in-a-record-column"],
 )
 def test_report_encoder_refuses_what_json_dumps_refuses(bad):
     value = {"b": [1.0, {"a": bad}], "a": None}
