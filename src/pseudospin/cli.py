@@ -139,47 +139,37 @@ def _require(scenario: dict, key: str):
     return scenario[key]
 
 
+# the text of a str, int, float or bool, by its exact type
+_LEAF_TEXTS = {
+    float: float.__repr__,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: encode_basestring_ascii,
+}
+
+
 def _report(value, newline: str = "\n") -> str:
     """value as json.dumps(value, indent=2, sort_keys=True, allow_nan=False) writes it.
 
-    json takes its C encoder only without indent, so reports are encoded here, for the types
-    they hold.  Exact types come first: a dict, list or tuple writes its str, int, float, bool
-    and None children in its own loop.  Any other type takes json's isinstance checks in json's
-    order (an np.float64 is a float, an np.bool_ is not a bool), and what json would hand its
-    default= hook is converted as that hook did: an ndarray by tolist(), an np.generic by
-    item(), a complex as [re, im].  A list of records is written column by column (_records).
-    newline is the line break and indent that precede a closing bracket of value.
+    json takes its C encoder only without indent, so reports are encoded here, by exact type:
+    dicts with str keys, lists, str, int, float, bool and None, plus an ndarray as its tolist()
+    and a complex as [re, im].  Any other type, a subclass or NumPy scalar too, is a TypeError,
+    and NaN and Infinity are json's ValueError.  A list of records is written column by column
+    (_records).  newline is the line break and indent that precede a closing bracket of value.
     """
     if type(value) is np.ndarray:
         value = value.tolist()
     kind = type(value)
     if kind is complex:
         value, kind = [value.real, value.imag], list
-    elif kind is not dict and kind is not list and kind is not tuple:
-        if isinstance(value, str):
-            return encode_basestring_ascii(value)
+    elif kind is not dict and kind is not list:
         if value is None:
             return "null"
-        if value is True or value is False:
-            return "true" if value else "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            if not math.isfinite(value):
-                raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-            return float.__repr__(value)
-        if isinstance(value, (list, tuple)):
-            kind = list
-        elif isinstance(value, dict):
-            kind = dict
-        elif isinstance(value, np.ndarray):
-            return _report(value.tolist(), newline)
-        elif isinstance(value, np.generic):
-            return _report(value.item(), newline)
-        elif isinstance(value, complex):
-            return _report([value.real, value.imag], newline)
-        else:
-            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+        if kind not in _LEAF_TEXTS:
+            raise TypeError(f"{kind.__name__} is not JSON serializable")
+        if kind is float and not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return _LEAF_TEXTS[kind](value)
     brackets = "{}" if kind is dict else "[]"
     if not value:
         return brackets
@@ -190,7 +180,7 @@ def _report(value, newline: str = "\n") -> str:
     inner = newline + "  "
     texts = []
     for v in sorted(value.items()) if kind is dict else value:
-        if kind is dict:  # the key is encoded before the value, so a bad key is refused first
+        if kind is dict:  # the key is encoded before the value: a key that is not a str is refused
             key, v = encode_basestring_ascii(v[0]), v[1]
         child = type(v)
         if child is float:
@@ -211,23 +201,13 @@ def _report(value, newline: str = "\n") -> str:
     return f"{brackets[0]}{inner}{(',' + inner).join(texts)}{newline}{brackets[1]}"
 
 
-# the text of each value of a record column, by the column's exact type
-_RECORD_TEXTS = {
-    float: float.__repr__,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    str: encode_basestring_ascii,
-}
-
-
 def _records(records, newline: str):
     """_report of a list of records, written column by column, or None to take the recursion.
 
-    Records are dicts with one set of keys, whose column for each key holds a single exact type
-    of _RECORD_TEXTS.  Each column's texts come from one map, and one % template covers all the
-    records.  Anything else is None: an empty dict, keys that differ, a nested value, None, a
-    subclass or NumPy scalar, a float column whose sum is not finite (json's refusal of NaN and
-    Infinity is the recursion's), and whatever would raise, so that the recursion raises it.
+    Records are dicts with one set of keys, whose column for each key holds one exact type of
+    _LEAF_TEXTS.  Each column's texts come from one map, and one % template covers all the
+    records.  Anything else is None, and so is a float column whose sum is not finite: the
+    recursion writes it, or refuses it with json's message.
     """
     if set(map(type, records)) != {dict} or not records[0]:
         return None
@@ -239,11 +219,11 @@ def _records(records, newline: str):
         for key in keys:
             column = list(map(itemgetter(key), records))  # KeyError: the keys differ
             kind, *others = set(map(type, column))
-            if others or kind not in _RECORD_TEXTS:
+            if others or kind not in _LEAF_TEXTS:
                 return None
             if kind is float and not math.isfinite(sum(column)):
                 return None
-            texts.append(map(_RECORD_TEXTS[kind], column))
+            texts.append(map(_LEAF_TEXTS[kind], column))
         inner = newline + "  "
         fields = f",{inner}  ".join(
             encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys

@@ -263,24 +263,27 @@ def left_derivative(f: GrassmannElement, i: int) -> GrassmannElement:
     return GrassmannElement(_LEFT_SIGN[k] * f.coeffs[_DERIVATIVE_SOURCE[k]])
 
 
-def dirac_bracket(f, g, *, parities=None):
+def dirac_bracket(f, g):
     """Reduced Dirac bracket on the constraint surface.
 
     {f, g} = -i sum_m (right derivative of f) (left derivative of g); the
     generator pairs give -i delta_ij and the rest follows by the graded
     derivation rules.  Both arguments must be parity-homogeneous; f is
-    checked first.  A caller that has already computed the two parities
-    passes them as parities and they are not computed again.  Two elements
-    give an element; coefficient stacks (..., 8) give a stack.
+    checked first.  Two elements give an element; coefficient stacks
+    (..., 8) give a stack.
     """
     fc, gc = _coefficients(f), _coefficients(g)
-    if parities is None:
-        _parity(fc)
-        _parity(gc)
-    out = -1j * ((fc[..., _BRACKET_F] * gc[..., _BRACKET_G]) @ _BRACKET_SUM)
+    _parity(fc)
+    _parity(gc)
+    out = _bracket(fc, gc)
     if isinstance(f, GrassmannElement) and isinstance(g, GrassmannElement):
         return GrassmannElement(out)
     return out
+
+
+def _bracket(fc: np.ndarray, gc: np.ndarray) -> np.ndarray:
+    """dirac_bracket of coefficient stacks whose parities have been checked."""
+    return -1j * ((fc[..., _BRACKET_F] * gc[..., _BRACKET_G]) @ _BRACKET_SUM)
 
 
 def precession_hamiltonian(field) -> GrassmannElement:
@@ -347,7 +350,7 @@ def verify_correspondence(f, g, tol: float = 1e-12) -> CorrespondenceReport:
     """
     fc, gc = _coefficients(f), _coefficients(g)
     parities = _parity(fc), _parity(gc)  # once each, f first, as dirac_bracket checks them
-    bracket = dirac_bracket(fc, gc, parities=parities)
+    bracket = _bracket(fc, gc)
     lhs, qf, qg = quantize(np.stack(np.broadcast_arrays(bracket, fc, gc)))
     rhs = -1j * graded_commutator(qf, qg, *parities)
     residual = np.abs(lhs - rhs).max(axis=(-2, -1))

@@ -178,7 +178,7 @@ def validate_metric(eta) -> np.ndarray:
         raise InvalidMetricError("metric is not Hermitian within tolerance")
     sym = 0.5 * (m + m.conj().T)
     eigs = np.linalg.eigvalsh(sym)
-    if np.min(eigs) <= 1e-10 * scale * 1e-6 or np.min(eigs) <= 0.0:
+    if np.min(eigs) <= 1e-10 * scale * 1e-6:  # at least 1e-316, so a zero eigenvalue fails
         raise InvalidMetricError(f"metric eigenvalues {eigs} are not all positive")
     return sym
 

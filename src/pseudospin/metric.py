@@ -51,7 +51,8 @@ def is_pseudo_hermitian(op, tol: float = REAL_TOL) -> bool:
     return _square_in_r_plus(_operator_square(op, DEFAULT_TOL), tol)
 
 
-def _check_plane_pair(f: np.ndarray, b: np.ndarray, tol: float) -> tuple[complex, complex]:
+def _check_plane_pair(f: np.ndarray, b: np.ndarray, tol: float) -> tuple[complex, complex, float]:
+    """The square-sums of f and b and their scale max(|f|, |b|, 1), once the pair is checked."""
     scale = max(np.linalg.norm(f), np.linalg.norm(b), 1.0)
     if abs(f[1]) > tol * scale or abs(b[1]) > tol * scale:
         raise PlaneRestrictionViolatedError("second field component must vanish")
@@ -61,7 +62,7 @@ def _check_plane_pair(f: np.ndarray, b: np.ndarray, tol: float) -> tuple[complex
         raise NormMismatchError(f"square-sums differ: {sq_f:.6g} vs {sq_b:.6g}")
     if abs(sq_b) <= tol * scale**2:
         raise DegenerateFieldError("vanishing square-sum, rotation undefined")
-    return sq_f, sq_b
+    return sq_f, sq_b, scale
 
 
 def canonical_rotation(field, real_field, tol: float = REAL_TOL) -> np.ndarray:
@@ -71,7 +72,7 @@ def canonical_rotation(field, real_field, tol: float = REAL_TOL) -> np.ndarray:
     The returned matrix satisfies R R^T = I, det R = 1 and R = R^(-1).
     """
     f, b = as_field(field), as_field(real_field)
-    _, sq = _check_plane_pair(f, b, tol)
+    _, sq, _ = _check_plane_pair(f, b, tol)
     diag = (f[0] * b[0] - b[2] * f[2]) / sq
     off = (f[0] * b[2] + b[0] * f[2]) / sq
     return np.array(
@@ -164,8 +165,7 @@ def build_isometry(field, real_field, tol: float = REAL_TOL) -> MetricPair:
     identity, as is the metric.
     """
     f, b = as_field(field), as_field(real_field)
-    sq_f, sq_b = _check_plane_pair(f, b, tol)
-    scale = max(np.linalg.norm(f), np.linalg.norm(b), 1.0)
+    sq_f, sq_b, scale = _check_plane_pair(f, b, tol)
     if abs(f[0]) <= tol * scale or abs(b[0]) <= tol * scale:
         raise SingularEigenbasisError("first field components must not vanish")
     # M leaves the similarity residual (b^2 - f^2) / (2 f1): refuse one past tol * scale, unless the

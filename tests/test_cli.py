@@ -7,7 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
-from enum import IntEnum
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -807,7 +807,8 @@ def test_each_handler_returns_its_files_and_writes_none(tmp_path, monkeypatch, k
     assert list(tmp_path.iterdir()) == []
 
 
-def test_grassmann_failure_keeps_its_report(tmp_path, monkeypatch):
+def _fail_the_suite(monkeypatch):
+    """Make each correspondence suite report its first generator pair as not exact."""
     suite_of = cli.correspondence_suite
 
     def failing_suite(field, tol):
@@ -816,11 +817,58 @@ def test_grassmann_failure_keeps_its_report(tmp_path, monkeypatch):
         return suite
 
     monkeypatch.setattr(cli, "correspondence_suite", failing_suite)
+
+
+def test_grassmann_failure_keeps_its_report(tmp_path, monkeypatch):
+    _fail_the_suite(monkeypatch)
     scen = write_scenario(tmp_path, {"kind": "grassmann_verify"})
     out = tmp_path / "out"
     assert run_cli("grassmann-verify", scen, out) == 2
     assert json.loads((out / "grassmann.json").read_text())["required_pairs_exact"] is False
     assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
+
+# the types cli._report writes: JSON's own, by exact type, and ndarray and complex by conversion
+REPORT_TYPES = (dict, list, str, int, float, bool, type(None), np.ndarray, complex)
+
+
+def _holds_report_types_only(value) -> bool:
+    if type(value) is dict:
+        return all(type(k) is str and _holds_report_types_only(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_holds_report_types_only, value))
+    return type(value) in REPORT_TYPES
+
+
+def test_reports_hold_only_the_types_the_encoder_writes(tmp_path, monkeypatch):
+    """Every value that reaches cli._report in one scenario of every kind, in exit-2 and exit-3
+    error.json files and in a failed suite's grassmann.json, is of a report type, with str keys."""
+    seen = []
+    report = cli._report
+
+    def spy(value, newline="\n"):
+        seen.append(value)
+        return report(value, newline)
+
+    monkeypatch.setattr(cli, "_report", spy)
+    runs = [(kind, {"kind": kind, **scenario}, 0) for kind, (scenario, _) in REPORTS.items()]
+    runs += [
+        ("evolve", {"kind": "evolve", "field": [1.0, 0.0, [0.0, 0.6]], "alpha": 0.6, "metric": "eta",
+                    "state": [1, 0], "time": {"stop": 1.0, "num": 3}}, 0),
+        ("rabi", {"b": 1.0, "b_z": 1.0, "omega": 2.0, "time": {"stop": 1.0, "num": 3}}, 0),
+        ("check", {"kind": "check"}, 2),  # a missing key
+        ("suppress", {"b_z": 1.0, "omega": 0.5, "alpha": 0.1}, 3),  # no real solution
+    ]
+    for n, (kind, scenario, code) in enumerate(runs):
+        out = tmp_path / f"out{n}"
+        assert run_cli(kind.replace("_", "-"), write_scenario(tmp_path, scenario), out) == code
+        assert (out / "error.json").exists() == (code != 0)
+    _fail_the_suite(monkeypatch)
+    scen = write_scenario(tmp_path, {"kind": "grassmann_verify", "b_field": [0.7, -1.1, 0.4]})
+    assert run_cli("grassmann-verify", scen, tmp_path / "failed") == 2
+    assert (tmp_path / "failed" / "grassmann.json").exists()
+    assert len(seen) >= len(runs) + 2
+    assert all(map(_holds_report_types_only, seen))
 
 
 def test_kind_mismatch_is_validation_error(tmp_path):
@@ -981,11 +1029,9 @@ def test_csv_encode_refuses_a_non_finite_cell(table, data, bad):
 
 
 def _json_default(obj):
-    """The json.dumps default= hook reports were encoded with before cli._report."""
+    """The json.dumps default= hook for the two report types json does not write itself."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
@@ -995,43 +1041,8 @@ def _json_report(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=_json_default)
 
 
-# subclasses of the types the encoder looks up by exact type: they take json's isinstance checks
-class _Str(str):
+class _Float(float):  # json takes it for a float; reports never hold one
     pass
-
-
-class _Int(int):
-    pass
-
-
-class _Float(float):
-    def __repr__(self):  # json's refusal of a non-finite float quotes repr()
-        return f"_Float({float.__repr__(self)})"
-
-
-class _List(list):
-    pass
-
-
-class _Tuple(tuple):
-    pass
-
-
-class _Dict(dict):
-    pass
-
-
-class _Complex(complex):
-    pass
-
-
-class _Array(np.ndarray):
-    pass
-
-
-class _Level(IntEnum):
-    LOW = -3
-    HIGH = 2**70
 
 
 REPORT_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -1045,31 +1056,17 @@ REPORT_LEAVES = st.one_of(
     st.integers() | st.sampled_from([10**40, -(2**200)]),
     REPORT_FLOATS,
     st.text() | st.sampled_from(["", '\x00\x1f"\\/\x7f\u2028', "\u00e9 \u2603 \U0001d11e"]),
-    REPORT_FLOATS.map(np.float64),
-    st.booleans().map(np.bool_),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
     REPORT_COMPLEX,
     hnp.arrays(np.float64, REPORT_ARRAY_SHAPES, elements=REPORT_FLOATS),
     hnp.arrays(np.complex128, REPORT_ARRAY_SHAPES, elements=REPORT_COMPLEX),
-    st.text().map(_Str),
-    st.integers().map(_Int),
-    REPORT_FLOATS.map(_Float),
-    st.sampled_from(_Level),
-    REPORT_COMPLEX.map(_Complex),
-    hnp.arrays(np.float64, REPORT_ARRAY_SHAPES, elements=REPORT_FLOATS).map(lambda a: a.view(_Array)),
 )
-REPORT_KEYS = st.text(max_size=4) | st.text(max_size=4).map(_Str)
+REPORT_KEYS = st.text(max_size=4)
 REPORT_VALUES = st.recursive(
     REPORT_LEAVES,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=3).map(tuple)
-    | st.dictionaries(REPORT_KEYS, children, max_size=4)
-    | st.lists(children, max_size=3).map(_List)
-    | st.lists(children, max_size=3).map(_Tuple)
-    | st.dictionaries(REPORT_KEYS, children, max_size=3).map(_Dict),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(REPORT_KEYS, children, max_size=4),
     max_leaves=10,
 )
-RECORD_KEYS = REPORT_KEYS | st.sampled_from(["%", "%s", "a%%b", _Str("%(k)s"), _Str("b")])
+RECORD_KEYS = REPORT_KEYS | st.sampled_from(["%", "%s", "a%%b", "%(k)s", "b"])
 # a column draws every value from one of these; the last mixes types, so it takes the recursion
 RECORD_COLUMNS = (
     st.booleans(),
@@ -1078,7 +1075,7 @@ RECORD_COLUMNS = (
     st.text() | st.sampled_from(["", '\x00"\\%s\u2028', "\u00e9 \U0001d11e"]),
     REPORT_LEAVES,
 )
-RECORD_MISSES = ("missing key", "extra key", "nested list", "np.float64", "_Float", "empty dict")
+RECORD_MISSES = ("missing key", "extra key", "nested list", "None", "complex", "empty dict")
 
 
 @st.composite
@@ -1097,10 +1094,10 @@ def record_lists(draw):
         records[k][draw(RECORD_KEYS.filter(lambda extra: extra not in keys))] = draw(REPORT_LEAVES)
     elif miss == "nested list":
         records[k][key] = [records[k][key]]
-    elif miss == "np.float64":
-        records[k][key] = np.float64(draw(REPORT_FLOATS))
-    elif miss == "_Float":
-        records[k][key] = _Float(draw(REPORT_FLOATS))
+    elif miss == "None":
+        records[k][key] = None
+    elif miss == "complex":
+        records[k][key] = draw(REPORT_COMPLEX)
     elif miss == "empty dict":
         records.insert(k, {})
     return records
@@ -1122,19 +1119,24 @@ def test_record_lists_are_written_column_by_column_only_when_they_are_tables():
         [{"a": 1}, {}],  # an empty dict
         [{}, {}],
         [{"a": 1}, {"a": [1]}],  # a nested value
-        [{"a": 1.0}, {"a": np.float64(2.0)}],  # a NumPy scalar
-        [{"a": 1.0}, {"a": _Float(2.0)}],  # a subclass
         [{"a": 1}, {"a": True}],  # an int and a bool
         [{"a": None}],  # None
-        [{"a": 1}, _Dict(a=1)],  # a dict subclass
         [{"a": 1e308}, {"a": 1e308}],  # finite floats whose sum is not
-        [{"a": 1.0}, {"a": np.nan}],  # refused, as json refuses it
-        [{1: 1}],  # a key that is not a str, which json would write as "1"
     ]
-    for records in misses:
+    refused = [
+        [{"a": 1.0}, {"a": np.nan}],  # json's ValueError
+        [{"a": 1.0}, {"a": np.float64(2.0)}],  # the TypeErrors of types reports do not hold
+        [{"a": 1.0}, {"a": _Float(2.0)}],
+        [{"a": 1}, OrderedDict(a=1)],
+        [{1: 1}],  # a key that is not a str
+    ]
+    for records in misses + refused:
         assert cli._records(records, "\n") is None
-    for records in misses[:-2]:
+    for records in misses:
         assert cli._report(records) == _json_report(records)
+    for records in refused:
+        with pytest.raises((ValueError, TypeError)):
+            cli._report(records)
 
 
 @pytest.mark.parametrize(
@@ -1146,12 +1148,31 @@ def test_record_lists_are_written_column_by_column_only_when_they_are_tables():
          "complex-inf-in-list-in-dict-in-tuple", "object", "inf-in-a-record-column"],
 )
 def test_report_encoder_refuses_what_json_dumps_refuses(bad):
+    """NaN and Infinity in report types are refused with json's exception and message; a value
+    of any other type with a TypeError that names its type, before its content is looked at."""
     value = {"b": [1.0, {"a": bad}], "a": None}
     with pytest.raises((ValueError, TypeError)) as expected:
         _json_report(value)
-    with pytest.raises(expected.type) as refused:
+    kind, message = expected.type, str(expected.value)
+    if type(bad) not in REPORT_TYPES:
+        kind, message = TypeError, f"{type(bad).__name__} is not JSON serializable"
+    with pytest.raises(kind) as refused:
         cli._report(value)
-    assert str(refused.value) == str(expected.value)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.float64(0.5), np.int64(3), np.bool_(True), _Float(0.5), (0.5, 1.0), object(), OrderedDict(a=1)],
+    ids=["np-float64", "np-int64", "np-bool", "float-subclass", "tuple", "object", "dict-subclass"],
+)
+def test_report_encoder_refuses_types_reports_do_not_hold(bad):
+    """json writes all but object(); the encoder guesses at none of them, where it stands alone,
+    as a child or in a record column."""
+    message = f"^{type(bad).__name__} is not JSON serializable$"
+    for value in (bad, {"a": [1.0, bad]}, [{"x": 0.5}, {"x": bad}]):
+        with pytest.raises(TypeError, match=message):
+            cli._report(value)
 
 
 def test_outputs_are_deterministic(tmp_path):
