@@ -1,12 +1,13 @@
 """Command-line driver: scenario files in, trajectories and reports out.
 
 Scenarios are JSON; complex numbers are [re, im] pairs (plain numbers are
-accepted as reals).  A scenario file is read in one binary read and decoded
-as strict UTF-8 with universal newlines; a file that is not UTF-8 or not
-JSON, nests past the recursion limit or holds an integer past the digit
-limit is a validation problem.  Every run writes machine-readable output
-into the --out directory and exits 0 on success, 2 on a validation problem
-and 3 when the mathematics refuses (no real solution, wrong regime, ...).
+accepted as reals).  A scenario file is read in one unbuffered binary read
+and decoded as strict UTF-8 with universal newlines; a file that is missing,
+not UTF-8 or not JSON, nests past the recursion limit or holds an integer
+past the digit limit is a validation problem.  Every run writes its output
+into the --out directory (created with its parents if it is not a directory
+yet) and exits 0 on success, 2 on a validation problem and 3 when the
+mathematics refuses (no real solution, wrong regime, ...).
 Handlers compute and return their files; run() checks every number in
 them for finiteness and encodes them all to bytes before it writes any, so
 a non-zero exit writes only error.json (plus grassmann.json for a failed
@@ -25,7 +26,6 @@ import warnings
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -153,9 +153,10 @@ def _report(value, newline: str = "\n") -> str:
 
     json takes its C encoder only without indent, so reports are encoded here, by exact type:
     dicts with str keys, lists, str, int, float, bool and None, plus an ndarray as its tolist()
-    and a complex as [re, im].  Any other type, a subclass or NumPy scalar too, is a TypeError,
-    and NaN and Infinity are json's ValueError.  A list of records is written column by column
-    (_records).  newline is the line break and indent that precede a closing bracket of value.
+    and a complex as [re, im], which a parent writes in its own loop.  Any other type, a
+    subclass or NumPy scalar too, is a TypeError, and NaN and Infinity are json's ValueError.
+    A list of records is written column by column (_records).  newline is the line break and
+    indent that precede a closing bracket of value.
     """
     if type(value) is np.ndarray:
         value = value.tolist()
@@ -195,6 +196,12 @@ def _report(value, newline: str = "\n") -> str:
             text = "true" if v else "false"
         elif v is None:
             text = "null"
+        elif child is complex:  # [re, im], as the recursion writes the list
+            re, im = float.__repr__(v.real), float.__repr__(v.imag)
+            if re in _NON_FINITE or im in _NON_FINITE:
+                bad = re if re in _NON_FINITE else im
+                raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
+            text = f"[{inner}  {re},{inner}  {im}{inner}]"
         else:
             text = _report(v, inner)
         texts.append(f"{key}: {text}" if kind is dict else text)
@@ -205,8 +212,9 @@ def _records(records, newline: str):
     """_report of a list of records, written column by column, or None to take the recursion.
 
     Records are dicts with one set of keys, whose column for each key holds one exact type of
-    _LEAF_TEXTS.  Each column's texts come from one map, and one % template covers all the
-    records.  Anything else is None, and so is a float column whose sum is not finite: the
+    _LEAF_TEXTS.  One % template covers all the records: an int or float column goes into it as
+    it is, since %s of an exact int or float is its repr, and a bool or str column as the texts
+    of one map.  Anything else is None, and so is a float column whose sum is not finite: the
     recursion writes it, or refuses it with json's message.
     """
     if set(map(type, records)) != {dict} or not records[0]:
@@ -223,7 +231,7 @@ def _records(records, newline: str):
                 return None
             if kind is float and not math.isfinite(sum(column)):
                 return None
-            texts.append(map(_LEAF_TEXTS[kind], column))
+            texts.append(column if kind is int or kind is float else map(_LEAF_TEXTS[kind], column))
         inner = newline + "  "
         fields = f",{inner}  ".join(
             encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys
@@ -270,7 +278,7 @@ def _encode(name: str, content) -> bytes:
     return csv_text(header, columns)
 
 
-def _write(out: Path, files: dict) -> None:
+def _write(out: str, files: dict) -> None:
     """Write {file name: content} into out; every file is encoded before any is written.  A file
     is rewritten in place, opened without O_TRUNC (ext4 frees and flushes the blocks of a file
     truncated to zero) and cut at the end of the new bytes."""
@@ -311,8 +319,8 @@ def emit_trajectory(traj: Trajectory, path) -> None:
     norm_eta.  Quantum runs fill the norm columns with the canonical and
     metric norms; classical runs carry the raw and projected |n| there.
     """
-    path = Path(path)
-    _write(path.parent, {path.name: _trajectory_table(traj)})
+    parent, name = os.path.split(os.fspath(path))
+    _write(parent, {name: _trajectory_table(traj)})
 
 
 def read_trajectory(path):
@@ -670,13 +678,14 @@ KINDS = tuple(_HANDLERS)
 
 def run(kind: str, scenario_path, out_dir, tol: float = 1e-10, step=None) -> int:
     """Execute one scenario; returns the process exit code."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = os.fspath(out_dir) or os.curdir
+    if not os.path.isdir(out):  # an existing directory costs one stat, not os.makedirs' failed mkdir
+        os.makedirs(out, exist_ok=True)
     try:
         if not 0.0 < tol < 1.0:  # NaN fails this test too
             raise ValidationError(f"tol must be a finite number in (0, 1), got {tol!r}")
         try:
-            with open(scenario_path, "rb") as fh:
+            with open(scenario_path, "rb", buffering=0) as fh:  # one read: no buffer to fill
                 text = fh.read().decode("utf-8")
             if "\r" in text:  # universal newlines, as text mode reads them: error offsets stay
                 text = text.replace("\r\n", "\n").replace("\r", "\n")

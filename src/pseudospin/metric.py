@@ -184,4 +184,7 @@ def eta_adjoint(op, eta) -> np.ndarray:
     # rcond 0: eta = (M M^dagger)^(-1) squares cond(M), so det(eta) of an accepted M can be noise
     if not _nonsingular(m, 0.0):
         raise SingularMetricError("metric is singular")
-    return np.linalg.solve(m, t.conj().T @ m)
+    try:
+        return np.linalg.solve(m, t.conj().T @ m)
+    except np.linalg.LinAlgError:  # an LU pivot can round to 0 past the det check
+        raise SingularMetricError("metric is singular") from None

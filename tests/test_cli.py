@@ -623,6 +623,45 @@ def test_unreadable_scenario_bytes_are_validation_error(tmp_path, raw):
     assert [p.name for p in out.iterdir()] == ["error.json"]
 
 
+@pytest.mark.parametrize(
+    "make, name, reason",
+    [(lambda path: None, "missing.json", "[Errno 2] No such file or directory"),
+     (os.mkdir, "a-directory", "[Errno 21] Is a directory")],
+    ids=["missing", "directory"],
+)
+def test_unreadable_scenario_path_writes_its_os_error(tmp_path, monkeypatch, make, name, reason):
+    monkeypatch.chdir(tmp_path)
+    make(name)
+    assert run_cli("check", name, "out") == 2
+    message = f"cannot read scenario: {reason}: '{name}'"
+    error = f'{{\n  "error": "ValidationError",\n  "message": "{message}"\n}}\n'
+    assert (tmp_path / "out" / "error.json").read_text() == error
+    assert os.listdir("out") == ["error.json"]
+
+
+def test_out_directory_is_created_with_its_parents_or_reused(tmp_path, monkeypatch):
+    scen = write_scenario(tmp_path, {"kind": "check", "field": [1.0, 0.0, 0.5]})
+    nested = tmp_path / "a" / "b" / "out"
+    assert run_cli("check", scen, nested) == 0
+    report = (nested / "check.json").read_bytes()
+    (nested / "check.json").write_text("stale " * 1000)
+    (nested / "other.txt").write_text("kept")
+    assert run_cli("check", scen, nested) == 0
+    assert (nested / "check.json").read_bytes() == report
+    assert (nested / "other.txt").read_text() == "kept"
+    monkeypatch.chdir(nested / "..")  # an empty --out is the working directory
+    assert cli.run("check", scen, "") == 0
+    assert (nested / ".." / "check.json").read_bytes() == report
+
+
+def test_out_that_is_a_regular_file_raises_file_exists_error(tmp_path):
+    scen = write_scenario(tmp_path, {"kind": "check", "field": [1.0, 0.0, 0.5]})
+    (tmp_path / "out").write_text("a file")
+    with pytest.raises(FileExistsError):
+        run_cli("check", scen, tmp_path / "out")
+    assert (tmp_path / "out").read_text() == "a file"
+
+
 def test_scenario_line_breaks_are_read_as_universal_newlines(tmp_path):
     """CR LF and a lone CR count as one line break each, so a JSON error's offset is the one
     an LF file gives."""
@@ -1129,6 +1168,7 @@ def test_record_lists_are_written_column_by_column_only_when_they_are_tables():
         [{"a": 1.0}, {"a": _Float(2.0)}],
         [{"a": 1}, OrderedDict(a=1)],
         [{1: 1}],  # a key that is not a str
+        [{"a": 10**5000}],  # an int past the digit limit: int.__repr__'s ValueError
     ]
     for records in misses + refused:
         assert cli._records(records, "\n") is None
@@ -1142,9 +1182,10 @@ def test_record_lists_are_written_column_by_column_only_when_they_are_tables():
 @pytest.mark.parametrize(
     "bad",
     [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf), complex(1.0, np.inf),
-     np.array([[0.5, np.nan]]), _Float(np.inf), ({"k": [complex(np.inf, 0.5)]},), object(),
-     [{"x": 0.5, "y": 1}, {"x": -np.inf, "y": 2}]],
-    ids=["nan", "inf", "-inf", "np-nan", "np-inf", "complex-inf", "array-nan", "float-subclass-inf",
+     complex(0.5, -np.inf), complex(np.nan, -np.inf), np.array([[0.5, np.nan]]), _Float(np.inf),
+     ({"k": [complex(np.inf, 0.5)]},), object(), [{"x": 0.5, "y": 1}, {"x": -np.inf, "y": 2}]],
+    ids=["nan", "inf", "-inf", "np-nan", "np-inf", "complex-inf", "complex-imag-minus-inf",
+         "complex-nan-and-minus-inf", "array-nan", "float-subclass-inf",
          "complex-inf-in-list-in-dict-in-tuple", "object", "inf-in-a-record-column"],
 )
 def test_report_encoder_refuses_what_json_dumps_refuses(bad):

@@ -393,6 +393,22 @@ def test_eta_adjoint_rejects_a_singular_metric():
         eta_adjoint(SIGMA1, np.diag([1.0, 0.0]))
 
 
+# build_isometry accepts this pair (cond(M) = 1.3e8), but an LU pivot of its metric rounds to 0
+# in np.linalg.solve, past the determinant check eta_adjoint makes first
+SOLVE_ROUNDS_SINGULAR = (
+    (9.712242402764332e-05, 0.0, -712.7500278654323),
+    2.6235751231829347 - 2.7441131332229896j,
+)
+
+
+def test_eta_adjoint_whose_solve_rounds_singular_is_a_singular_metric_error():
+    b, theta = SOLVE_ROUNDS_SINGULAR
+    f = plane_rotation(1, theta) @ np.array(b)
+    pair = build_isometry(f, b)
+    with pytest.raises(SingularMetricError, match="^metric is singular$"):
+        eta_adjoint(hamiltonian_from_field(f), pair.eta)
+
+
 def test_damped_hamiltonian_is_eta_hermitian():
     v, alpha = 1.0, 0.6
     f, b = damped_field(v, alpha), limit_field(v, alpha)
