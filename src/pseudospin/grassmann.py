@@ -89,9 +89,28 @@ _QUANT_IMAGE = np.array([
 ]).reshape(_BASIS_SIZE, 4)
 
 
+def _as_coefficients(c, stack: bool = False) -> np.ndarray:
+    """c as the 8 coefficients of one element, or with stack as a stack (..., 8) of them; input
+    of another size is a ValidationError."""
+    c = np.asarray(c, dtype=complex)
+    try:
+        return c.reshape(c.shape[:-1] + (_BASIS_SIZE,) if stack else _BASIS_SIZE)
+    except ValueError as exc:
+        raise ValidationError(f"an element needs 8 coefficients, got shape {c.shape}") from exc
+
+
+def _as_substitution(matrix) -> np.ndarray:
+    """matrix as a 3x3 complex matrix; input of another size is a ValidationError."""
+    m = np.asarray(matrix, dtype=complex)
+    try:
+        return m.reshape(3, 3)
+    except ValueError as exc:
+        raise ValidationError(f"a substitution needs 3x3 entries, got shape {m.shape}") from exc
+
+
 def _coefficients(f) -> np.ndarray:
     """Coefficient stack (..., 8) of an element or of an array of coefficients."""
-    return f.coeffs if isinstance(f, GrassmannElement) else np.asarray(f, dtype=complex)
+    return f.coeffs if isinstance(f, GrassmannElement) else _as_coefficients(f, stack=True)
 
 
 def _product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -122,7 +141,7 @@ class GrassmannElement:
         if coeffs is None:
             self.coeffs = np.zeros(_BASIS_SIZE, dtype=complex)
         else:
-            self.coeffs = np.asarray(coeffs, dtype=complex).reshape(_BASIS_SIZE).copy()
+            self.coeffs = _as_coefficients(coeffs).copy()
 
     @classmethod
     def from_scalar(cls, z) -> "GrassmannElement":
@@ -207,7 +226,7 @@ def involution_star(f: GrassmannElement) -> GrassmannElement:
 
 def substitute(f: GrassmannElement, matrix) -> GrassmannElement:
     """Replace generator i by sum_k matrix[i, k] * generator k and expand."""
-    m = np.asarray(matrix, dtype=complex).reshape(3, 3)
+    m = _as_substitution(matrix)
     images = np.zeros((3, _BASIS_SIZE), dtype=complex)
     images[:, [0b001, 0b010, 0b100]] = m
     # row a starts as the coefficient of monomial a and takes the images of its generators in order
@@ -220,7 +239,7 @@ def substitute(f: GrassmannElement, matrix) -> GrassmannElement:
 
 
 def _require_orthogonal(rotation) -> np.ndarray:
-    r = np.asarray(rotation, dtype=complex).reshape(3, 3)
+    r = _as_substitution(rotation)
     if not np.isfinite(r).all():
         raise ValidationError("matrix is not complex-orthogonal: it has a non-finite entry")
     with np.errstate(over="ignore", invalid="ignore"):  # entries past 1e154 overflow r r^T

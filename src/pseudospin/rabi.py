@@ -119,9 +119,15 @@ def rabi_amplitude(p: RabiParameters, t: float | np.ndarray) -> complex | np.nda
     if p.alpha != 0.0:
         raise ValidationError("closed form requires zero damping; see the metric variant")
     omega_r = p.rabi_freq
+    return _spin_flip(p.b, omega_r, omega_r, t)
+
+
+def _spin_flip(b: float, omega_r: float, freq: float, t) -> complex | np.ndarray:
+    """The spin-flip amplitude -i (b / Omega_R) sin(freq t / 2) of both Rabi problems; zero when
+    Omega_R is."""
     if omega_r == 0.0:
         return np.zeros(np.shape(t), dtype=complex)
-    return -1j * (p.b / omega_r) * np.sin(0.5 * omega_r * t)
+    return -1j * (b / omega_r) * np.sin(0.5 * freq * t)
 
 
 def ph_condition_residual(p: RabiParameters) -> float:
@@ -267,11 +273,7 @@ def ph_rabi_amplitude(pr: PseudoHermitianRabi, t: float | np.ndarray) -> complex
     At the critical point (zero detuning) the frequency vanishes and the
     amplitude is identically zero.
     """
-    p = pr.params
-    omega_r = p.rabi_freq
-    if omega_r == 0.0:
-        return np.zeros(np.shape(t), dtype=complex)
-    return -1j * (p.b / omega_r) * np.sin(0.5 * pr.oscillation_freq * t)
+    return _spin_flip(pr.params.b, pr.params.rabi_freq, pr.oscillation_freq, t)
 
 
 def omega_squared(pr: PseudoHermitianRabi) -> float:

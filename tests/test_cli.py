@@ -591,6 +591,10 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
                      id="metric-limit-family-alpha-zero"),
         pytest.param("metric", {"field": [1.0, 0.0, [0.0, 0.6]]},
                      id="metric-complex-field-without-b-field-or-alpha"),
+        pytest.param("sweep", {"grid": [1.0, 1.5], "b_z": 1.0, "omega": 2.0, "alpha": 0.5},
+                     id="sweep-grid-not-an-object"),
+        pytest.param("sweep", {"grid": {"b": [1.0]}, "b_z": 1.0, "alpha": 0.5},
+                     id="sweep-without-omega"),
     ],
 )
 def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
@@ -612,7 +616,7 @@ def test_malformed_scenario_is_validation_error(tmp_path, kind, scenario):
                      id="nested-past-the-recursion-limit"),
     ],
 )
-def test_unreadable_scenario_bytes_are_validation_error(tmp_path, raw):
+def test_unreadable_scenario_bytes_are_validation_error(tmp_path, capsys, raw):
     scen = tmp_path / "scenario.json"
     scen.write_bytes(raw)
     out = tmp_path / "out"
@@ -621,6 +625,7 @@ def test_unreadable_scenario_bytes_are_validation_error(tmp_path, raw):
     assert error["error"] == "ValidationError"
     assert error["message"].startswith("cannot read scenario: ")
     assert [p.name for p in out.iterdir()] == ["error.json"]
+    assert capsys.readouterr().err == f"error: {error['message']}\n"
 
 
 @pytest.mark.parametrize(
@@ -826,14 +831,78 @@ def test_kinds_are_the_cli_subcommands(capsys):
     assert set(KINDS) == set(REPORTS)
 
 
-@pytest.mark.parametrize("kind", sorted(REPORTS))
-def test_each_kind_writes_its_report(tmp_path, kind):
-    scenario, report = REPORTS[kind]
+# more exit-0 runs, whose files keep the same text contracts: models, metrics, amplitudes, torque
+# axes and block boundaries the REPORTS rows leave out, as (kind, scenario, CLI arguments, fields
+# the report must hold)
+WRITTEN = [
+    pytest.param("bloch", {"model": "llg", "field": [0, 0, 1], "alpha": 0.1, "n0": [1, 0, 0],
+                           "time": {"stop": 1.0, "step": 0.1}}, (), {}, id="bloch-llg"),
+    pytest.param("bloch", {"model": "llg_spin_valve", "field": [0, 0, 1], "alpha": 0.1, "a": 0.05,
+                           "polarization": [0.6, 0, 0.8], "n0": [1, 0, 0],
+                           "time": {"stop": 1.0, "step": 0.1}}, (), {}, id="bloch-llg-spin-valve"),
+    pytest.param("evolve", {"field": [1.0, 0.0, [0.0, 0.6]], "alpha": 0.6, "metric": "eta",
+                            "state": [1, 0], "time": {"stop": 5.0, "num": 201}}, (), {},
+                 id="evolve-eta"),
+    # 401 x 9 cells, three of whose columns are the +0.0 imaginary parts of a real Bloch vector
+    pytest.param("evolve", {"field": [1.0, 0.0, [0.0, 0.6]], "metric": "canonical", "state": [1, 0],
+                            "time": {"stop": 20.0, "num": 401}}, (), {}, id="evolve-canonical-401"),
+    pytest.param("grassmann_verify", {"b_field": [0.7, -1.1, 0.4]}, (), {}, id="grassmann-b-field"),
+    # at --tol 0.5 the top monomial's self pair (residual 0.25), verified once per process, is exact
+    pytest.param("grassmann_verify", {"b_field": [-2.5, 0.3, 1.9]}, ("--tol", "0.5"),
+                 {"non_exact_pairs": [], "all_exact": True}, id="grassmann-tol-0.5"),
+    pytest.param("check", {"field": [1.0, 0.0, [0.0, 0.6]]}, (), {}, id="check-limit-family-field"),
+    pytest.param("rabi", {"b": 1.224744871391589, "b_z": 1.0, "omega": 2.0, "alpha": 0.5,
+                          "time": {"stop": 5.0, "num": 51}}, (), {}, id="rabi-suppressed-amplitude"),
+    # b < 0 at alpha = 0: a real part of mixed +0.0 and -0.0 cells
+    pytest.param("rabi", {"b": -0.7, "b_z": 1.0, "omega": 2.0, "time": {"stop": 40.0, "num": 1001}},
+                 (), {}, id="rabi-signed-zeros"),
+    pytest.param("suppress", {"b_z": 1.0, "omega": 2.0, "alpha": 0.5, "a": 0.1}, (), {},
+                 id="suppress-spin-valve"),
+    # two drives and a torque axis: several drives per block, and spin-valve residuals
+    pytest.param("sweep", {"grid": {"b": {"start": 0.5, "stop": 1.5, "num": 5}, "b_z": [1.0, 2.0],
+                                    "alpha": [0.0, 0.5], "a": [0.0, 0.05]}, "omega": 2.0}, (), {},
+                 id="sweep-torque-axis"),
+    # 12,294 lines: three blocks, whose boundaries fall inside (b, drive) rows, and a -0.0 b_z
+    pytest.param("sweep", {"grid": {"b": {"start": 0.5, "stop": 1.5, "num": 2049},
+                                    "b_z": [1.0, -0.0], "alpha": [0.0, 0.5, -0.5]}, "omega": 2.0},
+                 (), {}, id="sweep-three-blocks"),
+]
+
+
+def assert_text_contract(path):
+    """A report is the text json.dumps(indent=2, sort_keys=True) gives its value, a JSON line the
+    text json.dumps(sort_keys=True) gives its record, and a CSV cell the text '%.17g' gives its
+    value."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+    elif path.suffix == ".jsonl":
+        lines = text.splitlines(keepends=True)
+        assert lines, path.name
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True) + "\n", line
+    else:
+        assert path.suffix == ".csv", path.name
+        cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+        assert cells, path.name
+        for cell in cells:
+            assert cell == "%.17g" % float(cell), cell
+
+
+@pytest.mark.parametrize(
+    "kind, scenario, args, expect",
+    [pytest.param(kind, REPORTS[kind][0], (), {}, id=kind) for kind in sorted(REPORTS)] + WRITTEN,
+)
+def test_each_kind_writes_its_report(tmp_path, kind, scenario, args, expect):
     scen = write_scenario(tmp_path, {"kind": kind, **scenario})
     out = tmp_path / "out"
-    assert run_cli(kind.replace("_", "-"), scen, out) == 0
-    assert isinstance(json.loads((out / report).read_text()), dict)
+    assert run_cli(kind.replace("_", "-"), scen, out, *args) == 0
+    report = json.loads((out / REPORTS[kind][1]).read_text())
+    assert isinstance(report, dict)
+    assert {key: report[key] for key in expect} == expect
     assert not (out / "error.json").exists()
+    for path in out.iterdir():
+        assert_text_contract(path)
 
 
 @pytest.mark.parametrize("kind", sorted(REPORTS))
@@ -1183,23 +1252,25 @@ def test_record_lists_are_written_column_by_column_only_when_they_are_tables():
     "bad",
     [np.nan, np.inf, -np.inf, np.float64(np.nan), np.float64(-np.inf), complex(1.0, np.inf),
      complex(0.5, -np.inf), complex(np.nan, -np.inf), np.array([[0.5, np.nan]]), _Float(np.inf),
-     ({"k": [complex(np.inf, 0.5)]},), object(), [{"x": 0.5, "y": 1}, {"x": -np.inf, "y": 2}]],
+     ({"k": [complex(np.inf, 0.5)]},), object(), [{"x": 0.5, "y": 1}, {"x": -np.inf, "y": 2}],
+     np.array(np.inf)],
     ids=["nan", "inf", "-inf", "np-nan", "np-inf", "complex-inf", "complex-imag-minus-inf",
          "complex-nan-and-minus-inf", "array-nan", "float-subclass-inf",
-         "complex-inf-in-list-in-dict-in-tuple", "object", "inf-in-a-record-column"],
+         "complex-inf-in-list-in-dict-in-tuple", "object", "inf-in-a-record-column", "0-d-array-inf"],
 )
 def test_report_encoder_refuses_what_json_dumps_refuses(bad):
     """NaN and Infinity in report types are refused with json's exception and message; a value
-    of any other type with a TypeError that names its type, before its content is looked at."""
-    value = {"b": [1.0, {"a": bad}], "a": None}
-    with pytest.raises((ValueError, TypeError)) as expected:
-        _json_report(value)
-    kind, message = expected.type, str(expected.value)
-    if type(bad) not in REPORT_TYPES:
-        kind, message = TypeError, f"{type(bad).__name__} is not JSON serializable"
-    with pytest.raises(kind) as refused:
-        cli._report(value)
-    assert str(refused.value) == message
+    of any other type with a TypeError that names its type, before its content is looked at.
+    Both hold for the value on its own and as a child."""
+    for value in ({"b": [1.0, {"a": bad}], "a": None}, bad):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            _json_report(value)
+        kind, message = expected.type, str(expected.value)
+        if type(bad) not in REPORT_TYPES:
+            kind, message = TypeError, f"{type(bad).__name__} is not JSON serializable"
+        with pytest.raises(kind) as refused:
+            cli._report(value)
+        assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(
@@ -1363,6 +1434,7 @@ def test_console_entry_point(tmp_path):
          2, "field square inf+0j is not finite"),
         ("bloch", {"model": "llg", "alpha": 1e200, "field": [0, 0, 1], "n0": [1, 0, 0],
                    "time": {"stop": 1.0, "step": 0.1}}, 2, "alpha: 1 + alpha**2 overflows, got 1e+200"),
+        ("metric", ROUNDS_SINGULAR, 2, "isometry is singular"),
     ],
 )
 def test_overflow_prints_only_the_error_line(tmp_path, kind, scenario, code, message):

@@ -159,6 +159,28 @@ def test_generator_and_monomial_indices_are_checked():
             generator(1).coefficient(bad)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GrassmannElement([1, 2, 3]), r"an element needs 8 coefficients, got shape \(3,\)"),
+        (lambda: GrassmannElement(np.ones((2, 8))), r"an element needs 8 coefficients, got shape \(2, 8\)"),
+        (lambda: pullback(generator(1), np.eye(2)), r"a substitution needs 3x3 entries, got shape \(2, 2\)"),
+        (lambda: substitute(generator(1), np.ones(4)), r"a substitution needs 3x3 entries, got shape \(4,\)"),
+        (lambda: quantize(np.ones(3)), r"an element needs 8 coefficients, got shape \(3,\)"),
+        (lambda: dirac_bracket(np.ones(3), np.ones(3)), r"an element needs 8 coefficients, got shape \(3,\)"),
+        (lambda: dirac_bracket(generator(1), np.ones((2, 7))),
+         r"an element needs 8 coefficients, got shape \(2, 7\)"),
+        (lambda: verify_correspondence(np.ones(3), np.ones(3)),
+         r"an element needs 8 coefficients, got shape \(3,\)"),
+    ],
+    ids=["element-of-3", "element-of-2x8", "pullback-2x2", "substitute-of-4", "quantize-of-3",
+         "bracket-of-3", "bracket-stack-of-7", "verify-of-3"],
+)
+def test_input_of_the_wrong_size_is_validation_error(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 # -------------------------------------------------------------- involutions
 
 
