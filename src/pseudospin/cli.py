@@ -18,6 +18,7 @@ text I/O layer.  Identical scenarios produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,15 +34,23 @@ from . import __version__
 from ._g17 import csv_text
 from .dynamics import (  # rhs_llg only because perfbench/tests looks up cli.rhs_llg
     Trajectory,
+    _check_observables,
     bloch_model,
     evolve_trajectory,
     integrate,
     rhs_llg,
 )
 from .exceptions import PseudospinError, ValidationError
-from .grassmann import correspondence_suite
-from .linalg import field_square, hamiltonian_from_field, spectrum
-from .metric import build_isometry, canonical_limit_field, canonical_rotation, is_pseudo_hermitian
+from .grassmann import _fixed_suite, _hamiltonian_pairs
+from .linalg import (
+    DEFAULT_TOL,
+    _operator_square,
+    field_square,
+    hamiltonian_from_field,
+    principal_sqrt,
+    spectrum,
+)
+from .metric import _square_in_r_plus, build_isometry, canonical_limit_field, canonical_rotation
 from .rabi import (
     REGIME_CRITICAL,
     REGIME_HERMITIAN,
@@ -139,6 +148,16 @@ def _require(scenario: dict, key: str):
     return scenario[key]
 
 
+class _Encoded:
+    """JSON text that _report writes as it stands: a value of a report's top-level dict, encoded
+    beforehand at that indent (as _report(value, "\n  ") gives it)."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 # the text of a str, int, float or bool, by its exact type
 _LEAF_TEXTS = {
     float: float.__repr__,
@@ -153,8 +172,9 @@ def _report(value, newline: str = "\n") -> str:
 
     json takes its C encoder only without indent, so reports are encoded here, by exact type:
     dicts with str keys, lists, str, int, float, bool and None, plus an ndarray as its tolist()
-    and a complex as [re, im], which a parent writes in its own loop.  Any other type, a
-    subclass or NumPy scalar too, is a TypeError, and NaN and Infinity are json's ValueError.
+    and a complex as [re, im], which a parent writes in its own loop, and an _Encoded child,
+    written as its text.  Any other type, a subclass or NumPy scalar too, is a TypeError, and
+    NaN and Infinity are json's ValueError.
     A list of records is written column by column (_records).  newline is the line break and
     indent that precede a closing bracket of value.
     """
@@ -202,6 +222,8 @@ def _report(value, newline: str = "\n") -> str:
                 bad = re if re in _NON_FINITE else im
                 raise ValueError(f"Out of range float values are not JSON compliant: {bad}")
             text = f"[{inner}  {re},{inner}  {im}{inner}]"
+        elif child is _Encoded:
+            text = v.text
         else:
             text = _report(v, inner)
         texts.append(f"{key}: {text}" if kind is dict else text)
@@ -363,13 +385,15 @@ def _real_field(scenario: dict, field: np.ndarray, tol: float) -> np.ndarray:
 def _run_check(scenario, tol, step):
     field = _parse_vector(_require(scenario, "field"), "field", 3)
     h = hamiltonian_from_field(field)
-    e_plus, e_minus = spectrum(h)
+    # the square that spectrum(h) and is_pseudo_hermitian(h, tol) would each compute
+    sq = _operator_square(h, DEFAULT_TOL)
+    e_plus = 0.5 * principal_sqrt(sq)
     payload = {
         "field": field,
         "field_square": field_square(field),
         "det": complex(np.linalg.det(h)),
-        "pseudo_hermitian": bool(is_pseudo_hermitian(h, tol)),
-        "eigenvalues": [e_plus, e_minus],
+        "pseudo_hermitian": _square_in_r_plus(sq, tol),
+        "eigenvalues": [e_plus, -e_plus],
     }
     return {"check.json": payload}
 
@@ -405,6 +429,9 @@ def _run_evolve(scenario, tol, step):
     metric_tag = scenario.get("metric", "canonical")
     h = hamiltonian_from_field(field)
     if metric_tag == "canonical":
+        # the canonical readout is bare: any other set is refused as bloch_eta refuses it
+        # without an isometry
+        _check_observables(scenario.get("observables", "bare"), None)
         traj = evolve_trajectory(h, psi0, grid)
     elif metric_tag == "eta":
         pair = build_isometry(field, _real_field(scenario, field, tol), tol)
@@ -623,12 +650,31 @@ def _run_suppress(scenario, tol, step):
     return {"suppress.json": payload}
 
 
+@functools.lru_cache(maxsize=16)
+def _suite_texts(fixed) -> tuple:
+    """The generator, basis and non-exact record lists of a suite's fixed part, each encoded
+    once per part as an _Encoded value of the report.  The key is the part itself, which hashes
+    by identity, so each part's text is that of its own flags."""
+    return tuple(_Encoded(_report(records, "\n  ")) for records in fixed.records())
+
+
 def _run_grassmann(scenario, tol, step):
+    """correspondence_suite's report and the two keys of the CLI, with the 73 field-independent
+    records written from text encoded once per tolerance."""
     field = _parse_vector(scenario.get("b_field", [0.7, -1.1, 0.4]), "b_field", 3, _parse_real)
-    suite = correspondence_suite(field, tol=max(tol, 1e-13))
-    required = suite["generator_pairs"] + suite["hamiltonian_pairs"]
-    suite["required_pairs_exact"] = all(entry["exact"] for entry in required)
-    suite["b_field"] = field
+    tol = max(tol, 1e-13)
+    fixed = _fixed_suite(tol)
+    hamiltonian = _hamiltonian_pairs(field, tol)
+    generator_pairs, basis_pairs, non_exact_pairs = _suite_texts(fixed)
+    suite = {
+        "generator_pairs": generator_pairs,
+        "hamiltonian_pairs": hamiltonian,
+        "basis_pairs": basis_pairs,
+        **fixed.totals(hamiltonian),
+        "non_exact_pairs": non_exact_pairs,
+        "required_pairs_exact": fixed.generators_exact and all(e["exact"] for e in hamiltonian),
+        "b_field": field,
+    }
     if not suite["required_pairs_exact"]:
         error = ValidationError("generator or Hamiltonian correspondence pairs failed")
         error.files = {"grassmann.json": suite}  # run() writes the failed suite next to error.json

@@ -73,19 +73,26 @@ def bloch_eta(psi, eta, observables: str = "bare", isometry=None) -> np.ndarray:
     return _bloch_eta(as_state(psi), validate_metric(eta), observables, isometry)
 
 
+def _check_observables(observables, isometry) -> None:
+    """Refuse an observable set bloch_eta cannot read: not bare or dressed, or dressed without
+    the isometry."""
+    if observables == "dressed":
+        if isometry is None:
+            raise ValidationError("dressed observables require the isometry")
+    elif observables != "bare":
+        raise ValidationError(f"unknown observable set {observables!r}")
+
+
 def _bloch_eta(v: np.ndarray, m: np.ndarray, observables: str, isometry) -> np.ndarray:
     """bloch_eta of a state stack v under the metric m that validate_metric returned."""
+    _check_observables(observables, isometry)
     nrm2 = _norm_sq(v, m)[..., None]
     if observables == "bare":
         n = [np.vecdot(v, np.matvec(m, np.matvec(s, v))) for s in SIGMA]
-    elif observables == "dressed":
-        if isometry is None:
-            raise ValidationError("dressed observables require the isometry")
+    else:
         iso = as_operator(isometry)
         w = np.matvec(np.linalg.inv(iso), v)
         n = [np.vecdot(v, np.matvec(m, np.matvec(iso @ s, w))).real for s in SIGMA]
-    else:
-        raise ValidationError(f"unknown observable set {observables!r}")
     return np.stack(n, axis=-1) / nrm2
 
 

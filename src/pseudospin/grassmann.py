@@ -23,6 +23,7 @@ Sign conventions, fixed once:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -384,19 +385,16 @@ def _scale(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.maximum(*(np.abs(q).max(axis=(-2, -1)) for q in (lhs, rhs))))
 
 
-# The suite's 76 pairs in report order, as (group, labels, f mask, g mask): 9 generator pairs,
-# 3 Hamiltonian pairs (f is the field's Hamiltonian, g a generator) and 64 basis pairs
+# The suite's 76 pairs in report order: 9 generator pairs, 3 Hamiltonian pairs (f is the field's
+# Hamiltonian, g a generator) and 64 basis pairs.  The 73 that do not depend on the field are
+# listed here as (labels, f mask, g mask), generator pairs first.
 _GENERATORS = tuple(enumerate(_BITS, 1))  # (index, mask)
-_SUITE_CASES = (
-    [("generator_pairs", {"i": i, "j": j}, a, b) for i, a in _GENERATORS for j, b in _GENERATORS]
-    + [("hamiltonian_pairs", {"i": i}, 0, b) for i, b in _GENERATORS]
-    + [("basis_pairs", {"a": a, "b": b}, a, b) for a in _MASKS for b in _MASKS]
-)
-_HAMILTONIAN_AT = 9  # report position of the first Hamiltonian pair
-# f and g stacks of the 73 pairs that do not depend on the field, and g of the Hamiltonian pairs
-_SUITE_F, _SUITE_G = (
-    _UNIT_ROWS[[case[k] for case in _SUITE_CASES if case[0] != "hamiltonian_pairs"]] for k in (2, 3)
-)
+_GENERATOR_PAIRS = len(_GENERATORS) ** 2
+_FIXED_CASES = [({"i": i, "j": j}, a, b) for i, a in _GENERATORS for j, b in _GENERATORS] + [
+    ({"a": a, "b": b}, a, b) for a in _MASKS for b in _MASKS
+]
+# f and g stacks of the 73 field-independent pairs, and g of the Hamiltonian pairs
+_SUITE_F, _SUITE_G = (_UNIT_ROWS[[case[k] for case in _FIXED_CASES]] for k in (1, 2))
 _HAMILTONIAN_G = _UNIT_ROWS[list(_BITS)]
 _SUITE_F.flags.writeable = _SUITE_G.flags.writeable = _HAMILTONIAN_G.flags.writeable = False
 
@@ -413,23 +411,77 @@ def _fixed_pairs() -> tuple:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class _FixedPairs:
+    """The 73 field-independent pairs' flags against one tol and residuals, in report order (9
+    generator pairs, then 64 basis pairs), with aggregates derived on construction.  Immutable,
+    and compared and hashed by identity, so a cache keyed by a part finds it in O(1)."""
+
+    exact: tuple
+    residual: tuple
+    generators_exact: bool = dataclasses.field(init=False)
+    all_exact: bool = dataclasses.field(init=False)
+    max_residual: float = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "generators_exact", all(self.exact[:_GENERATOR_PAIRS]))
+        object.__setattr__(self, "all_exact", all(self.exact))
+        object.__setattr__(self, "max_residual", max(self.residual))
+
+    def records(self) -> tuple:
+        """Fresh generator, basis and non-exact record lists; the non-exact records are the
+        basis records themselves."""
+        records = [
+            {**labels, "exact": e, "residual": r}
+            for (labels, _, _), e, r in zip(_FIXED_CASES, self.exact, self.residual, strict=True)
+        ]
+        basis = records[_GENERATOR_PAIRS:]
+        return records[:_GENERATOR_PAIRS], basis, [e for e in basis if not e["exact"]]
+
+    def totals(self, hamiltonian: list) -> dict:
+        """all_exact and max_residual of the suite with these Hamiltonian records, as one pass
+        over all 76 pairs in report order gives them: max skips a NaN unless it comes first, and
+        the fixed residuals, which come first, are finite."""
+        return {
+            "all_exact": self.all_exact and all(e["exact"] for e in hamiltonian),
+            "max_residual": max(self.max_residual, *(e["residual"] for e in hamiltonian)),
+        }
+
+
+@functools.lru_cache(maxsize=16)
+def _fixed_suite(tol: float) -> _FixedPairs:
+    """The field-independent part of correspondence_suite at tol, built once per tol: the flags
+    come from verify_correspondence's comparison on the residuals and scales kept per process.
+    The cache keys on tol alone and holds at most 16 tolerances."""
+    residual, scale = _fixed_pairs()
+    return _FixedPairs(tuple((residual <= tol * scale).tolist()), tuple(residual.tolist()))
+
+
+def _hamiltonian_pairs(field, tol: float) -> list:
+    """Fresh records of the 3 field-dependent pairs, {H(field), generator i}, verified in one
+    batched pass."""
+    h = precession_hamiltonian(field).coeffs[None].repeat(len(_HAMILTONIAN_G), axis=0)
+    rep = verify_correspondence(h, _HAMILTONIAN_G, tol)
+    return [
+        {"i": i, "exact": e, "residual": r}
+        for (i, _), e, r in zip(_GENERATORS, rep.exact, rep.residual)
+    ]
+
+
 def correspondence_suite(field, tol: float = 1e-12) -> dict:
     """Machine-checkable report over generator, Hamiltonian and basis pairs.
 
     Only the 3 Hamiltonian pairs depend on the field; they are verified per call in one batched
-    pass.  The other 73 pairs are verified once per process, and their flags are set against tol
-    here with the comparison verify_correspondence makes.
+    pass.  The other 73 come from _fixed_suite(tol).  Every call returns fresh lists of fresh
+    dicts, so a caller may change them without touching the next report.
     """
-    residual, scale = _fixed_pairs()
-    exact, residuals = (residual <= tol * scale).tolist(), residual.tolist()
-    h = precession_hamiltonian(field).coeffs[None].repeat(len(_HAMILTONIAN_G), axis=0)
-    rep = verify_correspondence(h, _HAMILTONIAN_G, tol)
-    exact[_HAMILTONIAN_AT:_HAMILTONIAN_AT] = rep.exact
-    residuals[_HAMILTONIAN_AT:_HAMILTONIAN_AT] = rep.residual
-    results = {"generator_pairs": [], "hamiltonian_pairs": [], "basis_pairs": []}
-    for (group, labels, _, _), e, r in zip(_SUITE_CASES, exact, residuals):
-        results[group].append({**labels, "exact": e, "residual": r})
-    results["all_exact"] = all(exact)
-    results["max_residual"] = max(residuals)
-    results["non_exact_pairs"] = [e for e in results["basis_pairs"] if not e["exact"]]
-    return results
+    fixed = _fixed_suite(tol)
+    hamiltonian = _hamiltonian_pairs(field, tol)
+    generator_pairs, basis_pairs, non_exact_pairs = fixed.records()
+    return {
+        "generator_pairs": generator_pairs,
+        "hamiltonian_pairs": hamiltonian,
+        "basis_pairs": basis_pairs,
+        **fixed.totals(hamiltonian),
+        "non_exact_pairs": non_exact_pairs,
+    }

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -17,12 +18,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import pseudospin
-from pseudospin import _g17, cli
+from pseudospin import _g17, cli, grassmann
 from pseudospin.cli import KINDS, emit_trajectory, main, read_trajectory
-from pseudospin.dynamics import Trajectory, bloch_model, evolve_trajectory, integrate
+from pseudospin.dynamics import Trajectory, bloch_eta, bloch_model, evolve_trajectory, integrate
 from pseudospin.exceptions import NonPseudoHermitianError, PseudospinError, ValidationError
-from pseudospin.linalg import hamiltonian_from_field
-from pseudospin.metric import canonical_limit_field
+from pseudospin.linalg import hamiltonian_from_field, spectrum
+from pseudospin.metric import canonical_limit_field, is_pseudo_hermitian
 from pseudospin.rabi import (
     PseudoHermitianRabi,
     RabiParameters,
@@ -63,6 +64,31 @@ def test_check_non_pseudo_hermitian_field(tmp_path):
     report = json.loads((tmp_path / "out" / "check.json").read_text())
     assert report["pseudo_hermitian"] is False
     assert report["field_square"] == pytest.approx([-3.0, 0.0])
+
+
+def test_check_computes_the_field_square_once(tmp_path, monkeypatch):
+    # spectrum and is_pseudo_hermitian each square the field; the check handler squares it once
+    # and reports what the two would
+    squares = []
+
+    def counted(op, tol, kernel=cli._operator_square):
+        squares.append(tol)
+        return kernel(op, tol)
+
+    monkeypatch.setattr(cli, "_operator_square", counted)
+    fields = [[1.0, 0.0, [0.0, 0.5]], [1.0, 0.0, [0.0, 2.0]], [0.0, 0.0, 0.0], [-0.0, 0.0, -0.0],
+              [1.0, 0.0, [0.0, 1.0]], [0.3, [0.0, 1.0], [2.0, -0.5]], [1e-170, 0.0, 0.0]]
+    for k, field in enumerate(fields):
+        out = tmp_path / f"out{k}"
+        for tol in ("1e-10", "0.5"):
+            squares.clear()
+            scen = write_scenario(tmp_path, {"field": field})
+            assert run_cli("check", scen, out, "--tol", tol) == 0
+            assert squares == [cli.DEFAULT_TOL]
+            report = json.loads((out / "check.json").read_text())
+            h = hamiltonian_from_field(cli._parse_vector(field, "field", 3))
+            assert report["eigenvalues"] == [[e.real, e.imag] for e in spectrum(h)]
+            assert report["pseudo_hermitian"] is is_pseudo_hermitian(h, float(tol))
 
 
 def _field_with_square(x: float, square: complex) -> list:
@@ -176,6 +202,46 @@ def test_evolve_zero_hamiltonian_is_constant(tmp_path):
     assert np.allclose(states, states[0], atol=1e-15)
     assert np.allclose(norms["canonical"], 1.0, atol=1e-15)
     assert np.allclose(norms["eta"], 1.0, atol=1e-15)
+
+
+def test_evolve_canonical_observables_are_bare(tmp_path):
+    # the canonical readout is bare: "bare" or no observables write the same files, and any other
+    # set exits 2 with the message bloch_eta gives it without an isometry
+    base = {"kind": "evolve", "field": [1, 0, 0.5], "state": [1, 0],
+            "time": {"start": 0, "stop": 1, "num": 3}}
+    written = []
+    bare = [{}, {"observables": "bare"}, {"metric": "canonical", "observables": "bare"}]
+    for k, extra in enumerate(bare):
+        out = tmp_path / f"out{k}"
+        assert run_cli("evolve", write_scenario(tmp_path, {**base, **extra}), out) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[1] == written[2] == written[0]
+    for k, observables in enumerate(["dressed", "bogus", None, ["bare"]]):
+        out = tmp_path / f"refused{k}"
+        scen = write_scenario(tmp_path, {**base, "observables": observables})
+        assert run_cli("evolve", scen, out) == 2
+        with pytest.raises(ValidationError) as refused:
+            bloch_eta([1, 0], np.eye(2), observables)
+        error = json.loads((out / "error.json").read_text())
+        assert error == {"error": "ValidationError", "message": str(refused.value)}
+
+
+def test_time_step_grid_rounds_its_sample_count(tmp_path):
+    # round((stop - start) / step) + 1 samples from start, so the last may fall short of stop or
+    # pass it by up to half a step: 1 / 0.35 rounds to 3, and the fourth sample is t = 1.05.
+    # Python's round takes a tie to even: 1 / 0.4 = 2.5 gives 3 samples, the last at 0.8
+    scen = write_scenario(tmp_path, {"kind": "evolve", "field": [0, 0, 1], "state": [1, 0],
+                                     "time": {"start": 0.0, "stop": 1.0, "step": 0.35}})
+    out = tmp_path / "out"
+    assert run_cli("evolve", scen, out) == 0
+    t, _, _ = read_trajectory(out / "trajectory.csv")
+    assert t.tolist() == [0.0, 0.35, 0.7, 0.35 * 3]
+    assert t[-1] == pytest.approx(1.05, abs=1e-15)
+    for start, stop, step, count in [(0.0, 1.0, 0.3, 4), (0.0, 1.0, 0.4, 3), (2.0, 2.0, 0.1, 1),
+                                     (0.0, 1.0, 0.25, 5), (-1.0, 1.0, 0.9, 3), (0.0, 1.0, 2.5, 1)]:
+        grid = cli._parse_time_grid({"start": start, "stop": stop, "step": step})
+        assert len(grid) == count == round((stop - start) / step) + 1
+        assert abs(grid[-1] - stop) <= step / 2
 
 
 def test_evolve_eta_metric_norm_column(tmp_path):
@@ -342,6 +408,76 @@ def test_grassmann_verify(tmp_path):
     assert report["required_pairs_exact"] is True
     assert [tuple(sorted(e.items())) for e in report["non_exact_pairs"]]  # (7,7) is reported
     assert report["max_residual"] == pytest.approx(0.25, abs=1e-12)
+
+
+FIELD_COMPONENTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e-170, 1e308, -1.7976931348623157e308]
+)
+
+
+def test_grassmann_reports_at_two_tolerances_match_fresh_processes(tmp_path):
+    # the fixed part and its text are cached per tol: interleaved tolerances in one process each
+    # write what a fresh process writes for the same scenario
+    fields = [[0.7, -1.1, 0.4], [-2.5, 0.3, 1.9]]
+    scenarios = [
+        write_scenario(tmp_path, {"kind": "grassmann_verify", "b_field": field}, f"s{k}.json")
+        for k, field in enumerate(fields)
+    ]
+    fresh = {}
+    for k, scen in enumerate(scenarios):
+        for tol in ("1e-10", "0.5"):
+            out = tmp_path / f"fresh-{k}-{tol}"
+            assert run_console("grassmann-verify", scen, out, "--tol", tol).returncode == 0
+            fresh[k, tol] = (out / "grassmann.json").read_bytes()
+    assert fresh[0, "1e-10"] != fresh[0, "0.5"]
+    for n, (k, tol) in enumerate(list(fresh) * 2):
+        out = tmp_path / f"in-process-{n}"
+        assert run_cli("grassmann-verify", scenarios[k], out, "--tol", tol) == 0
+        assert (out / "grassmann.json").read_bytes() == fresh[k, tol]
+
+
+def test_changing_a_returned_suite_changes_no_later_report(tmp_path):
+    field = [0.7, -1.1, 0.4]
+    scen = write_scenario(tmp_path, {"kind": "grassmann_verify", "b_field": field})
+    assert run_cli("grassmann-verify", scen, tmp_path / "before") == 0
+    expected = json.dumps(grassmann.correspondence_suite(field, 1e-10), sort_keys=True)
+    suite = grassmann.correspondence_suite(field, 1e-10)
+    for group in ("generator_pairs", "basis_pairs", "non_exact_pairs", "hamiltonian_pairs"):
+        suite[group][0]["exact"] = "changed"
+        suite[group][0]["residual"] = -1.0
+        suite[group].append({"extra": True})
+        suite[group].reverse()
+    assert json.dumps(grassmann.correspondence_suite(field, 1e-10), sort_keys=True) == expected
+    assert run_cli("grassmann-verify", scen, tmp_path / "after") == 0
+    after = (tmp_path / "after" / "grassmann.json").read_bytes()
+    assert after == (tmp_path / "before" / "grassmann.json").read_bytes()
+
+
+def test_suite_caches_are_bounded():
+    for cache in (grassmann._fixed_suite, cli._suite_texts):
+        assert cache.cache_info().maxsize == 16
+    for k in range(20):
+        cli._run_grassmann({}, 1e-9 * (k + 1), None)
+    for cache in (grassmann._fixed_suite, cli._suite_texts):
+        assert cache.cache_info().currsize == 16
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field=st.lists(FIELD_COMPONENTS, min_size=3, max_size=3),
+    tol=st.sampled_from(["1e-10", "1e-13", "0.2", "0.5"]),
+)
+def test_grassmann_report_is_the_public_suite_plus_two_keys(field, tol):
+    with tempfile.TemporaryDirectory() as tmp:
+        scen = write_scenario(Path(tmp), {"kind": "grassmann_verify", "b_field": field})
+        assert run_cli("grassmann-verify", scen, Path(tmp) / "out", "--tol", tol) == 0
+        text = (Path(tmp) / "out" / "grassmann.json").read_text()
+    suite = grassmann.correspondence_suite(field, max(float(tol), 1e-13))
+    suite["required_pairs_exact"] = all(
+        e["exact"] for e in suite["generator_pairs"] + suite["hamiltonian_pairs"]
+    )
+    suite["b_field"] = [float(x) for x in field]
+    assert text == json.dumps(suite, indent=2, sort_keys=True) + "\n"
 
 
 def test_sweep_classification(tmp_path):
@@ -587,6 +723,15 @@ def test_sweep_malformed_axis_is_validation_error(tmp_path, axis):
         pytest.param("check", {"field": [10**400, 0, 0]}, id="check-field-int-of-401-digits"),
         pytest.param("evolve", {"field": [0, 0, 1], "state": [1, 0], "metric": "lorentz",
                                 "time": {"stop": 1.0, "num": 2}}, id="evolve-unknown-metric-tag"),
+        pytest.param("evolve", {"field": [1, 0, 0.5], "state": [1, 0], "observables": "bogus",
+                                "time": {"start": 0, "stop": 1, "num": 3}},
+                     id="evolve-canonical-unknown-observables"),
+        pytest.param("evolve", {"field": [1, 0, 0.5], "state": [1, 0], "metric": "canonical",
+                                "observables": "dressed", "time": {"stop": 1, "num": 3}},
+                     id="evolve-canonical-dressed-observables"),
+        pytest.param("evolve", {"field": [1, 0, 0.5], "state": [1, 0], "observables": None,
+                                "time": {"stop": 1, "num": 3}},
+                     id="evolve-canonical-observables-null"),
         pytest.param("metric", {"field": [1.0, 0.0, [0.0, 0.6]], "alpha": 0},
                      id="metric-limit-family-alpha-zero"),
         pytest.param("metric", {"field": [1.0, 0.0, [0.0, 0.6]]},
@@ -916,28 +1061,37 @@ def test_each_handler_returns_its_files_and_writes_none(tmp_path, monkeypatch, k
 
 
 def _fail_the_suite(monkeypatch):
-    """Make each correspondence suite report its first generator pair as not exact."""
-    suite_of = cli.correspondence_suite
+    """Make the fixed part of each correspondence suite flag its first generator pair as not
+    exact, at the seam the handler takes the part from."""
+    part_of = cli._fixed_suite
 
-    def failing_suite(field, tol):
-        suite = suite_of(field, tol)
-        suite["generator_pairs"][0]["exact"] = False
-        return suite
+    def failing_part(tol):
+        part = part_of(tol)
+        return dataclasses.replace(part, exact=(False, *part.exact[1:]))
 
-    monkeypatch.setattr(cli, "correspondence_suite", failing_suite)
+    monkeypatch.setattr(cli, "_fixed_suite", failing_part)
 
 
 def test_grassmann_failure_keeps_its_report(tmp_path, monkeypatch):
-    _fail_the_suite(monkeypatch)
     scen = write_scenario(tmp_path, {"kind": "grassmann_verify"})
+    assert run_cli("grassmann-verify", scen, tmp_path / "before") == 0  # the part's text is cached
+    _fail_the_suite(monkeypatch)
     out = tmp_path / "out"
     assert run_cli("grassmann-verify", scen, out) == 2
-    assert json.loads((out / "grassmann.json").read_text())["required_pairs_exact"] is False
+    report = json.loads((out / "grassmann.json").read_text())
+    assert report["required_pairs_exact"] is False
+    assert report["all_exact"] is False
+    assert [e["exact"] for e in report["generator_pairs"]] == [False] + [True] * 8
     assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+    monkeypatch.undo()  # the true part writes its own text again
+    assert run_cli("grassmann-verify", scen, tmp_path / "after") == 0
+    passed = (tmp_path / "before" / "grassmann.json").read_bytes()
+    assert (tmp_path / "after" / "grassmann.json").read_bytes() == passed
 
 
-# the types cli._report writes: JSON's own, by exact type, and ndarray and complex by conversion
-REPORT_TYPES = (dict, list, str, int, float, bool, type(None), np.ndarray, complex)
+# the types cli._report writes: JSON's own, by exact type, ndarray and complex by conversion, and
+# text encoded beforehand as it stands
+REPORT_TYPES = (dict, list, str, int, float, bool, type(None), np.ndarray, complex, cli._Encoded)
 
 
 def _holds_report_types_only(value) -> bool:
@@ -1403,7 +1557,7 @@ def test_step_override_flag(tmp_path):
     assert len(t) == 5
 
 
-def run_console(command, scenario_path, out_dir):
+def run_console(command, scenario_path, out_dir, *extra):
     """Run the CLI in a child process, which shows warnings the way a user sees them."""
     # the child process must import the same package as this one, installed or not
     package_root = str(Path(pseudospin.__file__).resolve().parents[1])
@@ -1412,7 +1566,7 @@ def run_console(command, scenario_path, out_dir):
     env.pop("PYTHONWARNINGS", None)
     return subprocess.run(
         [sys.executable, "-m", "pseudospin.cli", command, "--scenario", str(scenario_path),
-         "--out", str(out_dir)],
+         "--out", str(out_dir), *extra],
         capture_output=True,
         text=True,
         env=env,

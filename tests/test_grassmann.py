@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -636,6 +637,33 @@ def test_suite_tables_are_read_only():
     assert not grassmann._SUITE_G.flags.writeable
     assert not grassmann._HAMILTONIAN_G.flags.writeable
     assert not any(kept.flags.writeable for kept in grassmann._fixed_pairs())
+
+
+def test_fixed_part_is_built_once_per_tol_and_held_immutably():
+    part = grassmann._fixed_suite(1e-12)
+    assert grassmann._fixed_suite(1e-12) is part
+    assert grassmann._fixed_suite(0.5) is not part
+    assert (part.generators_exact, part.all_exact) == (True, False)
+    assert part.max_residual == max(part.residual)
+    assert (len(part.exact), len(part.residual)) == (73, 73)
+    assert type(part.exact) is tuple and type(part.residual) is tuple
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.exact = ()
+    assert part != dataclasses.replace(part) and hash(part) == object.__hash__(part)  # by identity
+    # the aggregates follow the flags a part is built from
+    flipped = dataclasses.replace(part, exact=(False, *part.exact[1:]))
+    assert (flipped.generators_exact, flipped.all_exact) == (False, False)
+
+
+def test_each_suite_is_fresh():
+    field = [0.7, -1.1, 0.4]
+    first, second = correspondence_suite(field), correspondence_suite(field)
+    assert first == second
+    groups = ("generator_pairs", "hamiltonian_pairs", "basis_pairs")
+    records = {id(e) for k in groups for e in first[k]}
+    assert len(records) == 76 and not records & {id(e) for k in groups for e in second[k]}
+    # the non-exact records are basis records of the same report, as they always were
+    assert all(any(e is b for b in first["basis_pairs"]) for e in first["non_exact_pairs"])
 
 
 @settings(max_examples=30, deadline=None)
