@@ -41,7 +41,7 @@ from .dynamics import (  # rhs_llg only because perfbench/tests looks up cli.rhs
     rhs_llg,
 )
 from .exceptions import PseudospinError, ValidationError
-from .grassmann import _fixed_suite, _hamiltonian_pairs
+from .grassmann import _fixed_part, _hamiltonian_pairs
 from .linalg import (
     DEFAULT_TOL,
     _operator_square,
@@ -651,11 +651,12 @@ def _run_suppress(scenario, tol, step):
 
 
 @functools.lru_cache(maxsize=16)
-def _suite_texts(fixed) -> tuple:
-    """The generator, basis and non-exact record lists of a suite's fixed part, each encoded
-    once per part as an _Encoded value of the report.  The key is the part itself, which hashes
-    by identity, so each part's text is that of its own flags."""
-    return tuple(_Encoded(_report(records, "\n  ")) for records in fixed.records())
+def _fixed_report(tol: float) -> tuple:
+    """The suite's fixed part at tol and its generator, basis and non-exact record lists, each
+    encoded once as an _Encoded value of the report.  The cache keys on tol alone and holds at
+    most 16 tolerances; the text is that of the part it is returned with."""
+    fixed = _fixed_part(tol)
+    return fixed, tuple(_Encoded(_report(records, "\n  ")) for records in fixed.records())
 
 
 def _run_grassmann(scenario, tol, step):
@@ -663,9 +664,8 @@ def _run_grassmann(scenario, tol, step):
     records written from text encoded once per tolerance."""
     field = _parse_vector(scenario.get("b_field", [0.7, -1.1, 0.4]), "b_field", 3, _parse_real)
     tol = max(tol, 1e-13)
-    fixed = _fixed_suite(tol)
+    fixed, (generator_pairs, basis_pairs, non_exact_pairs) = _fixed_report(tol)
     hamiltonian = _hamiltonian_pairs(field, tol)
-    generator_pairs, basis_pairs, non_exact_pairs = _suite_texts(fixed)
     suite = {
         "generator_pairs": generator_pairs,
         "hamiltonian_pairs": hamiltonian,

@@ -23,9 +23,9 @@ Sign conventions, fixed once:
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -411,22 +411,21 @@ def _fixed_pairs() -> tuple:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _FixedPairs:
-    """The 73 field-independent pairs' flags against one tol and residuals, in report order (9
-    generator pairs, then 64 basis pairs), with aggregates derived on construction.  Immutable,
-    and compared and hashed by identity, so a cache keyed by a part finds it in O(1)."""
+class _FixedPart(NamedTuple):
+    """The 73 field-independent pairs' flags against one tol and their residuals, in report
+    order (9 generator pairs, then 64 basis pairs), with the aggregates a report takes of them;
+    built through of(), which derives the aggregates."""
 
     exact: tuple
     residual: tuple
-    generators_exact: bool = dataclasses.field(init=False)
-    all_exact: bool = dataclasses.field(init=False)
-    max_residual: float = dataclasses.field(init=False)
+    generators_exact: bool
+    all_exact: bool
+    max_residual: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators_exact", all(self.exact[:_GENERATOR_PAIRS]))
-        object.__setattr__(self, "all_exact", all(self.exact))
-        object.__setattr__(self, "max_residual", max(self.residual))
+    @classmethod
+    def of(cls, exact: tuple, residual: tuple) -> _FixedPart:
+        """The part with these flags and residuals and the aggregates derived from them."""
+        return cls(exact, residual, all(exact[:_GENERATOR_PAIRS]), all(exact), max(residual))
 
     def records(self) -> tuple:
         """Fresh generator, basis and non-exact record lists; the non-exact records are the
@@ -448,13 +447,11 @@ class _FixedPairs:
         }
 
 
-@functools.lru_cache(maxsize=16)
-def _fixed_suite(tol: float) -> _FixedPairs:
-    """The field-independent part of correspondence_suite at tol, built once per tol: the flags
-    come from verify_correspondence's comparison on the residuals and scales kept per process.
-    The cache keys on tol alone and holds at most 16 tolerances."""
-    residual, scale = _fixed_pairs()
-    return _FixedPairs(tuple((residual <= tol * scale).tolist()), tuple(residual.tolist()))
+def _fixed_part(tol) -> _FixedPart:
+    """The field-independent part of correspondence_suite at tol: the flags come from
+    verify_correspondence's comparison on the residuals and scales kept per process."""
+    residuals, scale = _fixed_pairs()
+    return _FixedPart.of(tuple((residuals <= tol * scale).tolist()), tuple(residuals.tolist()))
 
 
 def _hamiltonian_pairs(field, tol: float) -> list:
@@ -472,10 +469,11 @@ def correspondence_suite(field, tol: float = 1e-12) -> dict:
     """Machine-checkable report over generator, Hamiltonian and basis pairs.
 
     Only the 3 Hamiltonian pairs depend on the field; they are verified per call in one batched
-    pass.  The other 73 come from _fixed_suite(tol).  Every call returns fresh lists of fresh
-    dicts, so a caller may change them without touching the next report.
+    pass.  The other 73 were verified once per process; only their flags are compared against
+    tol here (_fixed_part).  Every call returns fresh lists of fresh dicts, so a caller may
+    change them without touching the next report.
     """
-    fixed = _fixed_suite(tol)
+    fixed = _fixed_part(tol)
     hamiltonian = _hamiltonian_pairs(field, tol)
     generator_pairs, basis_pairs, non_exact_pairs = fixed.records()
     return {

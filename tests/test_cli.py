@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import os
@@ -453,13 +452,14 @@ def test_changing_a_returned_suite_changes_no_later_report(tmp_path):
     assert after == (tmp_path / "before" / "grassmann.json").read_bytes()
 
 
-def test_suite_caches_are_bounded():
-    for cache in (grassmann._fixed_suite, cli._suite_texts):
-        assert cache.cache_info().maxsize == 16
+def test_suite_cache_is_bounded_and_keyed_by_tol():
+    assert cli._fixed_report.cache_info().maxsize == 16
     for k in range(20):
-        cli._run_grassmann({}, 1e-9 * (k + 1), None)
-    for cache in (grassmann._fixed_suite, cli._suite_texts):
-        assert cache.cache_info().currsize == 16
+        cli._run_grassmann({"b_field": [k, 1.0, -0.5]}, 1e-9 * (k + 1), None)
+    assert cli._fixed_report.cache_info().currsize == 16
+    hits = cli._fixed_report.cache_info().hits
+    cli._run_grassmann({"b_field": [0.3, 0.2, 0.1]}, 1e-9 * 20, None)  # cached tol, new field
+    assert cli._fixed_report.cache_info().hits == hits + 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -1062,14 +1062,14 @@ def test_each_handler_returns_its_files_and_writes_none(tmp_path, monkeypatch, k
 
 def _fail_the_suite(monkeypatch):
     """Make the fixed part of each correspondence suite flag its first generator pair as not
-    exact, at the seam the handler takes the part from."""
-    part_of = cli._fixed_suite
+    exact, and have the handler's cached fixed report built afresh from that part."""
 
     def failing_part(tol):
-        part = part_of(tol)
-        return dataclasses.replace(part, exact=(False, *part.exact[1:]))
+        part = grassmann._fixed_part(tol)
+        return part.of((False, *part.exact[1:]), part.residual)
 
-    monkeypatch.setattr(cli, "_fixed_suite", failing_part)
+    monkeypatch.setattr(cli, "_fixed_part", failing_part)
+    monkeypatch.setattr(cli, "_fixed_report", cli._fixed_report.__wrapped__)
 
 
 def test_grassmann_failure_keeps_its_report(tmp_path, monkeypatch):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -639,20 +638,24 @@ def test_suite_tables_are_read_only():
     assert not any(kept.flags.writeable for kept in grassmann._fixed_pairs())
 
 
-def test_fixed_part_is_built_once_per_tol_and_held_immutably():
-    part = grassmann._fixed_suite(1e-12)
-    assert grassmann._fixed_suite(1e-12) is part
-    assert grassmann._fixed_suite(0.5) is not part
+def test_fixed_part_holds_the_flags_at_its_tol_and_their_aggregates():
+    part = grassmann._fixed_part(1e-12)
     assert (part.generators_exact, part.all_exact) == (True, False)
-    assert part.max_residual == max(part.residual)
+    assert part.max_residual == max(part.residual) and type(part.max_residual) is float
     assert (len(part.exact), len(part.residual)) == (73, 73)
     assert type(part.exact) is tuple and type(part.residual) is tuple
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        part.exact = ()
-    assert part != dataclasses.replace(part) and hash(part) == object.__hash__(part)  # by identity
+    assert grassmann._fixed_part(0.5).all_exact and grassmann._fixed_part(0.5) != part
     # the aggregates follow the flags a part is built from
-    flipped = dataclasses.replace(part, exact=(False, *part.exact[1:]))
+    flipped = part.of((False, *part.exact[1:]), part.residual)
     assert (flipped.generators_exact, flipped.all_exact) == (False, False)
+
+
+@pytest.mark.parametrize("tol", [np.float64(1e-10), np.array(1e-10)], ids=["float64", "0-d"])
+def test_suite_takes_a_numpy_tol(tol):
+    # the comparison needs only a scalar: a NumPy scalar or 0-d array tol gives the float's report
+    field = [0.7, -1.1, 0.4]
+    expected = json.dumps(correspondence_suite(field, 1e-10), sort_keys=True)
+    assert json.dumps(correspondence_suite(field, tol), sort_keys=True) == expected
 
 
 def test_each_suite_is_fresh():
